@@ -8,14 +8,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pq_bench::workloads::{chain_database, chain_query, clique_instance, dag_database, tc_program};
 use pq_engine::colorcoding::{self, ColorCodingOptions};
 use pq_engine::datalog_eval::{self, Strategy};
-use pq_engine::governor::SharedContext;
 use pq_engine::{naive, yannakakis, ExecutionContext};
 use pq_exec::Pool;
 
 const DEGREES: [usize; 4] = [1, 2, 4, 8];
 
-fn shared() -> SharedContext {
-    ExecutionContext::unlimited().into_shared()
+/// A fresh unlimited context fanning out on `pool`.
+fn on(pool: &Pool) -> ExecutionContext {
+    ExecutionContext::unlimited().with_pool(pool)
 }
 
 fn clique_join(c: &mut Criterion) {
@@ -25,11 +25,7 @@ fn clique_join(c: &mut Criterion) {
     for threads in DEGREES {
         let pool = Pool::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            b.iter(|| {
-                naive::evaluate_parallel(&q, &db, &shared(), &pool)
-                    .unwrap()
-                    .len()
-            })
+            b.iter(|| naive::evaluate_governed(&q, &db, &on(&pool)).unwrap().len())
         });
     }
     group.finish();
@@ -44,7 +40,7 @@ fn acyclic_path(c: &mut Criterion) {
         let pool = Pool::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
             b.iter(|| {
-                yannakakis::evaluate_parallel(&q, &db, Default::default(), &shared(), &pool)
+                yannakakis::evaluate_governed(&q, &db, &on(&pool))
                     .unwrap()
                     .len()
             })
@@ -64,7 +60,7 @@ fn color_coding_trials(c: &mut Criterion) {
         let pool = Pool::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
             b.iter(|| {
-                colorcoding::evaluate_parallel(&q, &db, &opts, &shared(), &pool)
+                colorcoding::evaluate_governed(&q, &db, &opts, &on(&pool))
                     .unwrap()
                     .len()
             })
@@ -82,7 +78,7 @@ fn datalog_tc(c: &mut Criterion) {
         let pool = Pool::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
             b.iter(|| {
-                datalog_eval::evaluate_parallel(&p, &db, Strategy::SemiNaive, &shared(), &pool)
+                datalog_eval::evaluate_governed(&p, &db, Strategy::SemiNaive, &on(&pool))
                     .unwrap()
                     .len()
             })

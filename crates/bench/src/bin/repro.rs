@@ -732,7 +732,6 @@ fn service_exp() {
 /// Speedup is bounded by physical cores; on a single-core box the target is
 /// "no worse than serial", and the determinism checks are the point.
 fn parallel_exp() {
-    use pq_engine::governor::SharedContext;
     use pq_engine::naive_indexed;
     use pq_engine::ExecutionContext;
     use pq_exec::Pool;
@@ -743,7 +742,7 @@ fn parallel_exp() {
     println!("  (speedup at d threads is capped by min(d, cores); answers are");
     println!("   checked identical to the serial engine at every degree)\n");
 
-    let shared = || -> SharedContext { ExecutionContext::unlimited().into_shared() };
+    let on = |p: &Pool| ExecutionContext::unlimited().with_pool(p);
     let degrees = [1usize, 2, 4, 8];
 
     // Workload 1: cyclic clique join on the naive indexed engine.
@@ -765,7 +764,7 @@ fn parallel_exp() {
         (
             "clique join (naive indexed)",
             Box::new(|p: &Pool| {
-                naive_indexed::evaluate_parallel(&cq, &cdb, &shared(), p)
+                naive_indexed::evaluate_governed(&cq, &cdb, &on(p))
                     .unwrap()
                     .len()
             }),
@@ -773,7 +772,7 @@ fn parallel_exp() {
         (
             "acyclic chain (yannakakis)",
             Box::new(|p: &Pool| {
-                yannakakis::evaluate_parallel(&yq, &ydb, Default::default(), &shared(), p)
+                yannakakis::evaluate_governed(&yq, &ydb, &on(p))
                     .unwrap()
                     .len()
             }),
@@ -781,7 +780,7 @@ fn parallel_exp() {
         (
             "chain with != (color coding)",
             Box::new(|p: &Pool| {
-                colorcoding::evaluate_parallel(&nq, &ndb, &cc, &shared(), p)
+                colorcoding::evaluate_governed(&nq, &ndb, &cc, &on(p))
                     .unwrap()
                     .len()
             }),
@@ -789,7 +788,7 @@ fn parallel_exp() {
         (
             "transitive closure (datalog)",
             Box::new(|p: &Pool| {
-                datalog_eval::evaluate_parallel(&tp, &tdb, Strategy::SemiNaive, &shared(), p)
+                datalog_eval::evaluate_governed(&tp, &tdb, Strategy::SemiNaive, &on(p))
                     .unwrap()
                     .len()
             }),
@@ -1311,10 +1310,8 @@ fn count_exp() {
         assert_eq!(count.assignments, count.distinct, "quantifier-free head");
         assert_eq!(count.distinct, (base as u128).pow(len as u32 + 1));
         for threads in [2usize, 4] {
-            let pool = Pool::new(threads);
-            let par = plan
-                .execute_parallel(&q, &db, &ExecutionContext::unlimited().into_shared(), &pool)
-                .unwrap();
+            let ctx = ExecutionContext::unlimited().with_pool(&Pool::new(threads));
+            let par = plan.execute_governed(&q, &db, &ctx).unwrap();
             assert_eq!(par, count, "len = {len} at {threads} threads");
         }
 

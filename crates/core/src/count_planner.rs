@@ -11,9 +11,8 @@
 use pq_analyze::{analyze, Analysis, AnalyzeOptions};
 use pq_count::{CountError, CountedRelation, QueryCount};
 use pq_data::{Database, Relation, Tuple};
-use pq_engine::governor::{ExecutionContext, SharedContext};
+use pq_engine::governor::ExecutionContext;
 use pq_engine::EngineError;
-use pq_exec::Pool;
 use pq_hypergraph::HypertreeDecomposition;
 use pq_query::ConjunctiveQuery;
 
@@ -155,7 +154,9 @@ fn checked_groups(q: &ConjunctiveQuery, groups: &[String]) -> pq_count::Result<V
 }
 
 impl CountPlan {
-    /// Count `Q(d)` with the committed strategy under the limits of `ctx`.
+    /// Count `Q(d)` with the committed strategy under the limits of `ctx`,
+    /// fanned out on the pool `ctx` carries; counts are byte-identical at
+    /// any pool size.
     pub fn execute_governed(
         &self,
         q: &ConjunctiveQuery,
@@ -173,37 +174,6 @@ impl CountPlan {
             CountChoice::EnumerateThenCount => {
                 let rows = crate::planner::plan(q, &PlannerOptions::default())
                     .execute_governed(q, db, ctx)?;
-                let n = rows.len() as u128;
-                Ok(QueryCount {
-                    distinct: n,
-                    assignments: n,
-                })
-            }
-        }
-    }
-
-    /// [`CountPlan::execute_governed`] with the committed strategy's
-    /// parallel path; counts are byte-identical at any pool size.
-    pub fn execute_parallel(
-        &self,
-        q: &ConjunctiveQuery,
-        db: &Database,
-        shared: &SharedContext,
-        pool: &Pool,
-    ) -> pq_count::Result<QueryCount> {
-        let q = self.analysis.effective(q);
-        match &self.choice {
-            CountChoice::Acyclic => pq_count::count_parallel(q, db, shared, pool),
-            CountChoice::Hypertree(d) => {
-                pq_count::count_decomposed_parallel(q, db, d, shared, pool)
-            }
-            CountChoice::ConstantEmpty => Ok(QueryCount {
-                distinct: 0,
-                assignments: 0,
-            }),
-            CountChoice::EnumerateThenCount => {
-                let rows = crate::planner::plan(q, &PlannerOptions::default())
-                    .execute_parallel(q, db, shared, pool)?;
                 let n = rows.len() as u128;
                 Ok(QueryCount {
                     distinct: n,
@@ -235,33 +205,6 @@ impl CountPlan {
                 let groups = checked_groups(q, groups)?;
                 let rows = crate::planner::plan(q, &PlannerOptions::default())
                     .execute_governed(q, db, ctx)?;
-                group_enumerated(&rows, &groups, self.engine)
-            }
-        }
-    }
-
-    /// [`CountPlan::execute_by_governed`] on the parallel path.
-    pub fn execute_by_parallel(
-        &self,
-        q: &ConjunctiveQuery,
-        db: &Database,
-        groups: &[String],
-        shared: &SharedContext,
-        pool: &Pool,
-    ) -> pq_count::Result<CountedRelation> {
-        let q = self.analysis.effective(q);
-        match &self.choice {
-            CountChoice::Acyclic => pq_count::count_by_parallel(q, db, groups, shared, pool),
-            CountChoice::Hypertree(d) => {
-                pq_count::count_by_decomposed_parallel(q, db, d, groups, shared, pool)
-            }
-            CountChoice::ConstantEmpty => {
-                CountedRelation::new(checked_groups(q, groups)?.iter().map(String::clone))
-            }
-            CountChoice::EnumerateThenCount => {
-                let groups = checked_groups(q, groups)?;
-                let rows = crate::planner::plan(q, &PlannerOptions::default())
-                    .execute_parallel(q, db, shared, pool)?;
                 group_enumerated(&rows, &groups, self.engine)
             }
         }
@@ -438,6 +381,7 @@ mod tests {
     use super::*;
     use pq_data::tuple;
     use pq_engine::naive;
+    use pq_exec::Pool;
     use pq_query::parse_cq;
 
     fn db() -> Database {
@@ -517,9 +461,8 @@ mod tests {
             let c = p.execute_governed(&q, &d, &ctx).unwrap();
             assert_eq!(c.distinct, oracle, "{src}");
             for threads in [1, 4] {
-                let pool = Pool::new(threads);
-                let shared = ExecutionContext::unlimited().into_shared();
-                let par = p.execute_parallel(&q, &d, &shared, &pool).unwrap();
+                let ctx = ExecutionContext::unlimited().with_pool(&Pool::new(threads));
+                let par = p.execute_governed(&q, &d, &ctx).unwrap();
                 assert_eq!(par, c, "{src} at {threads} threads");
             }
             // The fallback chain lands on the same number.
@@ -555,11 +498,8 @@ mod tests {
             for (t, c) in by.iter() {
                 assert_eq!(expected.get(t).copied(), Some(c), "{src} group {t}");
             }
-            let pool = Pool::new(3);
-            let shared = ExecutionContext::unlimited().into_shared();
-            let par = p
-                .execute_by_parallel(&q, &d, &[group], &shared, &pool)
-                .unwrap();
+            let ctx = ExecutionContext::unlimited().with_pool(&Pool::new(3));
+            let par = p.execute_by_governed(&q, &d, &[group], &ctx).unwrap();
             assert_eq!(par, by, "{src}");
         }
     }

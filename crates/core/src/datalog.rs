@@ -12,9 +12,8 @@
 use pq_analyze::{analyze_program, ProgramAnalysis};
 use pq_data::{Database, Relation};
 use pq_engine::datalog_eval::{self, FixpointStats, Strategy};
-use pq_engine::governor::{ExecutionContext, SharedContext};
+use pq_engine::governor::ExecutionContext;
 use pq_engine::{EngineError, Result};
-use pq_exec::Pool;
 use pq_query::DatalogProgram;
 
 use crate::planner::PlannerOptions;
@@ -77,7 +76,10 @@ impl DatalogPlan {
         self.execute_governed(p, db, &ExecutionContext::unlimited())
     }
 
-    /// [`DatalogPlan::execute`] under the limits of `ctx`.
+    /// [`DatalogPlan::execute`] under the limits of `ctx`. When `ctx`
+    /// carries a pool the per-round rule evaluations fan out on it
+    /// (identical goal relation at any pool size;
+    /// [`DatalogPlan::parallelism`] is the size this plan recommends).
     pub fn execute_governed(
         &self,
         p: &DatalogProgram,
@@ -105,27 +107,6 @@ impl DatalogPlan {
             Some(r) => datalog_eval::evaluate_rewritten_governed(p, r, db, self.strategy, ctx),
             None => datalog_eval::evaluate_with_stats_governed(p, db, self.strategy, ctx),
         }
-    }
-
-    /// [`DatalogPlan::execute`] with the per-round rule evaluations fanned
-    /// out on `pool`, every worker charging the shared envelope. Identical
-    /// output at any pool size; [`DatalogPlan::parallelism`] is the pool
-    /// size this plan recommends.
-    pub fn execute_parallel(
-        &self,
-        p: &DatalogProgram,
-        db: &Database,
-        shared: &SharedContext,
-        pool: &Pool,
-    ) -> Result<Relation> {
-        if self.analysis.provably_empty() {
-            return empty_goal(p);
-        }
-        let effective = self.analysis.effective(p);
-        Ok(
-            datalog_eval::evaluate_with_stats_parallel(effective, db, self.strategy, shared, pool)?
-                .0,
-        )
     }
 }
 
@@ -212,9 +193,8 @@ mod tests {
         let plan = plan_datalog(&p, &PlannerOptions::default());
         let serial = plan.execute(&p, &d).unwrap();
         for t in [1, 2, 4] {
-            let pool = Pool::new(t);
-            let shared = ExecutionContext::unlimited().into_shared();
-            let par = plan.execute_parallel(&p, &d, &shared, &pool).unwrap();
+            let ctx = ExecutionContext::unlimited().with_pool(&pq_exec::Pool::new(t));
+            let par = plan.execute_governed(&p, &d, &ctx).unwrap();
             assert_eq!(par.canonical_rows(), serial.canonical_rows(), "degree {t}");
         }
     }

@@ -4,9 +4,8 @@
 use pq_analyze::{analyze, Analysis, AnalyzeOptions};
 use pq_data::{Database, Relation, Tuple};
 use pq_engine::colorcoding::{ColorCodingOptions, HashFamily};
-use pq_engine::governor::{ExecutionContext, ResourceKind, SharedContext};
+use pq_engine::governor::{ExecutionContext, ResourceKind};
 use pq_engine::{colorcoding, hypertree, naive, naive_indexed, yannakakis, EngineError, Result};
-use pq_exec::Pool;
 use pq_hypergraph::HypertreeDecomposition;
 use pq_query::ConjunctiveQuery;
 
@@ -112,12 +111,13 @@ pub struct Plan {
     /// provably-empty verdict that short-circuits to [`EngineChoice::ConstantEmpty`].
     pub analysis: Analysis,
     /// The intra-query parallelism degree this plan asks for: the size of
-    /// the [`Pool`] that [`Plan::execute_parallel`] should be handed.
-    /// Constant plans (and single-atom queries, which have no fan-out) get
-    /// `1`; everything else gets the planner's `max_parallelism`. Executing
-    /// with a pool of a different size is still correct — every parallel
-    /// engine produces thread-count-independent output — this is only the
-    /// planner's recommendation.
+    /// the [`pq_exec::Pool`] worth attaching to the context handed to
+    /// [`Plan::execute_governed`] (`ExecutionContext::with_pool`). Constant
+    /// plans (and single-atom queries, which have no fan-out) get `1`;
+    /// everything else gets the planner's `max_parallelism`. Executing with
+    /// a pool of a different size is still correct — every engine produces
+    /// thread-count-independent output — this is only the planner's
+    /// recommendation.
     pub parallelism: usize,
 }
 
@@ -221,29 +221,10 @@ pub fn view_scan(q: &ConjunctiveQuery, view: &Relation, projection: &[usize]) ->
     Ok(out)
 }
 
-/// Serial execution of one engine choice; `ViewScan` recurses into its
-/// fallback when the view relation is absent from `db`.
-fn execute_choice(choice: &EngineChoice, q: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
-    match choice {
-        EngineChoice::Yannakakis => yannakakis::evaluate(q, db),
-        EngineChoice::ColorCoding(cc) => colorcoding::evaluate(q, db, cc),
-        EngineChoice::ConstantEmpty => empty_head(q),
-        EngineChoice::Hypertree(d) => {
-            hypertree::evaluate_decomposed(q, db, d, &ExecutionContext::unlimited())
-        }
-        EngineChoice::Naive => naive::evaluate(q, db),
-        EngineChoice::ViewScan {
-            view,
-            projection,
-            fallback,
-        } => match db.relation(view) {
-            Ok(rel) => view_scan(q, rel, projection),
-            Err(_) => execute_choice(fallback, q, db),
-        },
-    }
-}
-
-fn execute_choice_governed(
+/// Execute one engine choice under the limits of `ctx`, at the degree of
+/// the pool it carries; `ViewScan` recurses into its fallback when the view
+/// relation is absent from `db`.
+fn execute_choice(
     choice: &EngineChoice,
     q: &ConjunctiveQuery,
     db: &Database,
@@ -260,76 +241,30 @@ fn execute_choice_governed(
             projection,
             fallback,
         } => match db.relation(view) {
+            // The scan is linear in the view; no fan-out to parallelize.
             Ok(rel) => view_scan(q, rel, projection),
-            Err(_) => execute_choice_governed(fallback, q, db, ctx),
+            Err(_) => execute_choice(fallback, q, db, ctx),
         },
     }
 }
 
-fn is_nonempty_choice(choice: &EngineChoice, q: &ConjunctiveQuery, db: &Database) -> Result<bool> {
+/// Emptiness with one engine choice; same contract as [`execute_choice`].
+fn is_nonempty_choice(
+    choice: &EngineChoice,
+    q: &ConjunctiveQuery,
+    db: &Database,
+    ctx: &ExecutionContext,
+) -> Result<bool> {
     match choice {
-        EngineChoice::Yannakakis => yannakakis::is_nonempty(q, db),
-        EngineChoice::ColorCoding(cc) => colorcoding::is_nonempty(q, db, cc),
+        EngineChoice::Yannakakis => yannakakis::is_nonempty_governed(q, db, ctx),
+        EngineChoice::ColorCoding(cc) => colorcoding::is_nonempty_governed(q, db, cc, ctx),
         EngineChoice::ConstantEmpty => Ok(false),
-        EngineChoice::Hypertree(d) => {
-            hypertree::is_nonempty_decomposed(q, db, d, &ExecutionContext::unlimited())
-        }
-        EngineChoice::Naive => naive::is_nonempty(q, db),
+        EngineChoice::Hypertree(d) => hypertree::is_nonempty_decomposed(q, db, d, ctx),
+        EngineChoice::Naive => naive::is_nonempty_governed(q, db, ctx),
         EngineChoice::ViewScan { view, fallback, .. } => match db.relation(view) {
             // A projection is nonempty iff its source is.
             Ok(rel) => Ok(!rel.is_empty()),
-            Err(_) => is_nonempty_choice(fallback, q, db),
-        },
-    }
-}
-
-fn execute_choice_parallel(
-    choice: &EngineChoice,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    match choice {
-        EngineChoice::Yannakakis => {
-            yannakakis::evaluate_parallel(q, db, Default::default(), shared, pool)
-        }
-        EngineChoice::ColorCoding(cc) => colorcoding::evaluate_parallel(q, db, cc, shared, pool),
-        EngineChoice::ConstantEmpty => empty_head(q),
-        EngineChoice::Hypertree(d) => {
-            hypertree::evaluate_decomposed_parallel(q, db, d, shared, pool)
-        }
-        EngineChoice::Naive => naive::evaluate_parallel(q, db, shared, pool),
-        EngineChoice::ViewScan {
-            view,
-            projection,
-            fallback,
-        } => match db.relation(view) {
-            // The scan is linear in the view; no fan-out to parallelize.
-            Ok(rel) => view_scan(q, rel, projection),
-            Err(_) => execute_choice_parallel(fallback, q, db, shared, pool),
-        },
-    }
-}
-
-fn is_nonempty_choice_parallel(
-    choice: &EngineChoice,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    match choice {
-        EngineChoice::Yannakakis => yannakakis::is_nonempty_parallel(q, db, shared, pool),
-        EngineChoice::ColorCoding(cc) => colorcoding::is_nonempty_parallel(q, db, cc, shared, pool),
-        EngineChoice::ConstantEmpty => Ok(false),
-        EngineChoice::Hypertree(d) => {
-            hypertree::is_nonempty_decomposed_parallel(q, db, d, shared, pool)
-        }
-        EngineChoice::Naive => naive::is_nonempty_parallel(q, db, shared, pool),
-        EngineChoice::ViewScan { view, fallback, .. } => match db.relation(view) {
-            Ok(rel) => Ok(!rel.is_empty()),
-            Err(_) => is_nonempty_choice_parallel(fallback, q, db, shared, pool),
+            Err(_) => is_nonempty_choice(fallback, q, db, ctx),
         },
     }
 }
@@ -341,7 +276,7 @@ impl Plan {
     /// the choice, so handing it a structurally different query runs the
     /// wrong engine, not a wrong answer).
     pub fn execute(&self, q: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
-        execute_choice(&self.choice, self.analysis.effective(q), db)
+        self.execute_governed(q, db, &ExecutionContext::unlimited())
     }
 
     /// The base relations this plan reads when executed on `q`: the body
@@ -366,45 +301,32 @@ impl Plan {
     }
 
     /// [`Plan::execute`] under the limits of `ctx` (see
-    /// [`ExecutionContext`]).
+    /// [`ExecutionContext`]), with the committed engine's intra-query
+    /// fan-out when `ctx` carries a pool. The answer is identical at any
+    /// pool size; [`Plan::parallelism`] is the size this plan recommends.
     pub fn execute_governed(
         &self,
         q: &ConjunctiveQuery,
         db: &Database,
         ctx: &ExecutionContext,
     ) -> Result<Relation> {
-        execute_choice_governed(&self.choice, self.analysis.effective(q), db, ctx)
+        execute_choice(&self.choice, self.analysis.effective(q), db, ctx)
     }
 
     /// Emptiness of `Q(d)` with the committed engine, without reclassifying.
     pub fn is_nonempty(&self, q: &ConjunctiveQuery, db: &Database) -> Result<bool> {
-        is_nonempty_choice(&self.choice, self.analysis.effective(q), db)
+        self.is_nonempty_governed(q, db, &ExecutionContext::unlimited())
     }
 
-    /// [`Plan::execute_governed`] with the committed engine's intra-query
-    /// parallel path on `pool`, every worker charging the `shared` envelope.
-    /// The answer is identical to the serial paths at any pool size;
-    /// [`Plan::parallelism`] is the pool size this plan recommends.
-    pub fn execute_parallel(
+    /// [`Plan::is_nonempty`] under the limits of `ctx`; see
+    /// [`Plan::execute_governed`].
+    pub fn is_nonempty_governed(
         &self,
         q: &ConjunctiveQuery,
         db: &Database,
-        shared: &SharedContext,
-        pool: &Pool,
-    ) -> Result<Relation> {
-        execute_choice_parallel(&self.choice, self.analysis.effective(q), db, shared, pool)
-    }
-
-    /// Emptiness with the committed engine's parallel path; see
-    /// [`Plan::execute_parallel`].
-    pub fn is_nonempty_parallel(
-        &self,
-        q: &ConjunctiveQuery,
-        db: &Database,
-        shared: &SharedContext,
-        pool: &Pool,
+        ctx: &ExecutionContext,
     ) -> Result<bool> {
-        is_nonempty_choice_parallel(&self.choice, self.analysis.effective(q), db, shared, pool)
+        is_nonempty_choice(&self.choice, self.analysis.effective(q), db, ctx)
     }
 }
 
@@ -571,6 +493,7 @@ pub fn decide(
 mod tests {
     use super::*;
     use pq_data::tuple;
+    use pq_exec::Pool;
     use pq_query::parse_cq;
 
     fn db() -> Database {
@@ -850,16 +773,14 @@ mod tests {
             let p = plan(&q, &opts);
             let serial = p.execute(&q, &d).unwrap();
             for t in [1, 2, 8] {
-                let pool = Pool::new(t);
-                let shared = ExecutionContext::unlimited().into_shared();
+                let ctx = || ExecutionContext::unlimited().with_pool(&Pool::new(t));
                 assert_eq!(
-                    p.execute_parallel(&q, &d, &shared, &pool).unwrap(),
+                    p.execute_governed(&q, &d, &ctx()).unwrap(),
                     serial,
                     "{src} at degree {t}"
                 );
-                let shared = ExecutionContext::unlimited().into_shared();
                 assert_eq!(
-                    p.is_nonempty_parallel(&q, &d, &shared, &pool).unwrap(),
+                    p.is_nonempty_governed(&q, &d, &ctx()).unwrap(),
                     !serial.is_empty(),
                     "{src} at degree {t}"
                 );
@@ -930,9 +851,8 @@ mod tests {
         let direct = naive::evaluate(&q, &d).unwrap();
         assert_eq!(p.execute(&q, &d).unwrap(), direct);
         assert_eq!(p.is_nonempty(&q, &d).unwrap(), !direct.is_empty());
-        let pool = Pool::new(2);
-        let shared = ExecutionContext::unlimited().into_shared();
-        assert_eq!(p.execute_parallel(&q, &d, &shared, &pool).unwrap(), direct);
+        let ctx = ExecutionContext::unlimited().with_pool(&Pool::new(2));
+        assert_eq!(p.execute_governed(&q, &d, &ctx).unwrap(), direct);
         let ctx = ExecutionContext::unlimited();
         assert_eq!(p.execute_governed(&q, &d, &ctx).unwrap(), direct);
     }

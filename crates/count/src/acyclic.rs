@@ -4,15 +4,14 @@
 use std::collections::BTreeSet;
 
 use pq_data::{Database, Relation};
-use pq_engine::governor::{ExecutionContext, SharedContext};
-use pq_engine::yannakakis::atom_relation_governed;
+use pq_engine::governor::ExecutionContext;
+use pq_engine::yannakakis::atom_relations;
 use pq_engine::EngineError;
-use pq_exec::Pool;
 use pq_hypergraph::{join_tree, Hypergraph, JoinTree};
 use pq_query::ConjunctiveQuery;
 
 use crate::counted::CountedRelation;
-use crate::sweep::{counted_sweep, counted_sweep_parallel, total_parallel};
+use crate::sweep::counted_sweep;
 use crate::{CountError, QueryCount, Result};
 
 /// Engine name reported in errors and diagnostics.
@@ -75,28 +74,6 @@ fn prepare(q: &ConjunctiveQuery) -> Result<(Hypergraph, JoinTree)> {
     Ok((hg, tree))
 }
 
-fn atom_relations(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ctx: &ExecutionContext,
-) -> Result<Vec<Relation>> {
-    q.atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx).map_err(CountError::from))
-        .collect()
-}
-
-pub(crate) fn atom_relations_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Vec<Relation>> {
-    pool.try_run(&q.atoms, |_, a| {
-        atom_relation_governed(a, db, &shared.worker()).map_err(CountError::from)
-    })
-}
-
 /// Assemble a [`QueryCount`] from the sweep, choosing the tracked-variable
 /// set by head shape: a quantifier-free head marginalizes everything away
 /// (`z = ∅`, input-polynomial) and reads both counts off the grand total; a
@@ -127,34 +104,6 @@ pub(crate) fn finish_count(
     }
 }
 
-/// Parallel [`finish_count`]: the level-scheduled sweep plus a
-/// partition-and-sum total, byte-identical at any thread count.
-pub(crate) fn finish_count_parallel(
-    q: &ConjunctiveQuery,
-    hg: &Hypergraph,
-    tree: &JoinTree,
-    rels: &[Relation],
-    shared: &SharedContext,
-    pool: &Pool,
-    engine: &'static str,
-) -> Result<QueryCount> {
-    if quantifier_free(q) {
-        let root = counted_sweep_parallel(hg, tree, rels, &[], shared, pool, engine)?;
-        let total = total_parallel(&root, pool, engine)?;
-        Ok(QueryCount {
-            distinct: total,
-            assignments: total,
-        })
-    } else {
-        let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-        let per = counted_sweep_parallel(hg, tree, rels, &z, shared, pool, engine)?;
-        Ok(QueryCount {
-            distinct: per.len() as u128,
-            assignments: total_parallel(&per, pool, engine)?,
-        })
-    }
-}
-
 /// Grouped counts from the sweep: the number of **distinct answer tuples**
 /// per assignment of the group variables. Quantifier-free heads track the
 /// group variables directly (distinct = assignments per group); projected
@@ -175,25 +124,6 @@ pub(crate) fn finish_count_by(
     let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
     let per = counted_sweep(hg, tree, rels, &z, ctx, engine)?;
     distinct_per_group(&per, groups, ctx, engine)
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors finish_count_by + (shared, pool)
-pub(crate) fn finish_count_by_parallel(
-    q: &ConjunctiveQuery,
-    hg: &Hypergraph,
-    tree: &JoinTree,
-    rels: &[Relation],
-    groups: &[String],
-    shared: &SharedContext,
-    pool: &Pool,
-    engine: &'static str,
-) -> Result<CountedRelation> {
-    if quantifier_free(q) {
-        return counted_sweep_parallel(hg, tree, rels, groups, shared, pool, engine);
-    }
-    let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-    let per = counted_sweep_parallel(hg, tree, rels, &z, shared, pool, engine)?;
-    distinct_per_group(&per, groups, &shared.worker(), engine)
 }
 
 /// Collapse per-head-projection counts to per-group **distinct** counts:
@@ -238,7 +168,9 @@ pub fn count(q: &ConjunctiveQuery, db: &Database) -> Result<QueryCount> {
     count_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`count`] under the resource limits of `ctx`.
+/// [`count`] under the resource limits of `ctx`, at the degree of the pool
+/// `ctx` carries: atom scans and the level-scheduled sweep fan out, and the
+/// counts are byte-identical at any thread count.
 pub fn count_governed(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -254,26 +186,6 @@ pub fn count_governed(
     let (hg, tree) = prepare(q)?;
     let rels = atom_relations(q, db, ctx)?;
     finish_count(q, &hg, &tree, &rels, ctx, ENGINE)
-}
-
-/// [`count`] with parallel atom scans, a level-scheduled parallel sweep,
-/// and a partition-and-sum total; byte-identical at any thread count.
-pub fn count_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<QueryCount> {
-    check_safety(q)?;
-    if q.atoms.is_empty() {
-        return Ok(QueryCount {
-            distinct: 1,
-            assignments: 1,
-        });
-    }
-    let (hg, tree) = prepare(q)?;
-    let rels = atom_relations_parallel(q, db, shared, pool)?;
-    finish_count_parallel(q, &hg, &tree, &rels, shared, pool, ENGINE)
 }
 
 /// Grouped counts `COUNT(Q) GROUP BY groups`: one row per assignment of the
@@ -304,33 +216,12 @@ pub fn count_by_governed(
     finish_count_by(q, &hg, &tree, &rels, &groups, ctx, ENGINE)
 }
 
-/// [`count_by`] with the parallel sweep; byte-identical at any thread count.
-pub fn count_by_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    groups: &[String],
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<CountedRelation> {
-    check_safety(q)?;
-    let groups = check_groups(q, groups)?;
-    if q.atoms.is_empty() {
-        let mut out = CountedRelation::new(groups.iter().map(String::clone))?;
-        if groups.is_empty() {
-            out.insert_add(pq_data::Tuple::default(), 1, ENGINE)?;
-        }
-        return Ok(out);
-    }
-    let (hg, tree) = prepare(q)?;
-    let rels = atom_relations_parallel(q, db, shared, pool)?;
-    finish_count_by_parallel(q, &hg, &tree, &rels, &groups, shared, pool, ENGINE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pq_data::tuple;
     use pq_engine::yannakakis;
+    use pq_exec::Pool;
     use pq_query::parse_cq;
 
     fn chain_db() -> Database {
@@ -459,18 +350,16 @@ mod tests {
             let q = parse_cq(src).unwrap();
             let serial = count(&q, &db).unwrap();
             for threads in [1, 2, 4] {
-                let pool = Pool::new(threads);
-                let shared = ExecutionContext::unlimited().into_shared();
-                let par = count_parallel(&q, &db, &shared, &pool).unwrap();
+                let ctx = ExecutionContext::unlimited().with_pool(&Pool::new(threads));
+                let par = count_governed(&q, &db, &ctx).unwrap();
                 assert_eq!(par, serial, "{src} at {threads} threads");
             }
         }
         let q = parse_cq("G(x, z) :- R(x, y), S(y, z).").unwrap();
         let serial = count_by(&q, &db, &["x".to_string()]).unwrap();
         for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            let shared = ExecutionContext::unlimited().into_shared();
-            let par = count_by_parallel(&q, &db, &["x".to_string()], &shared, &pool).unwrap();
+            let ctx = ExecutionContext::unlimited().with_pool(&Pool::new(threads));
+            let par = count_by_governed(&q, &db, &["x".to_string()], &ctx).unwrap();
             assert_eq!(par, serial, "{threads} threads");
         }
     }

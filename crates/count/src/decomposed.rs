@@ -6,16 +6,12 @@
 //! the join-tree sweep does for acyclic queries.
 
 use pq_data::Database;
-use pq_engine::governor::{ExecutionContext, SharedContext};
-use pq_engine::hypertree::{materialize_bags_governed, materialize_bags_parallel};
-use pq_exec::Pool;
+use pq_engine::governor::ExecutionContext;
+use pq_engine::hypertree::materialize_bags_governed;
 use pq_hypergraph::HypertreeDecomposition;
 use pq_query::ConjunctiveQuery;
 
-use crate::acyclic::{
-    check_groups, check_safety, finish_count, finish_count_by, finish_count_by_parallel,
-    finish_count_parallel,
-};
+use crate::acyclic::{check_groups, check_safety, finish_count, finish_count_by};
 use crate::counted::CountedRelation;
 use crate::{QueryCount, Result};
 
@@ -24,7 +20,9 @@ pub(crate) const ENGINE: &str = "count-hypertree";
 
 /// Exact counts of `Q(d)` over a hypertree decomposition `d`, without
 /// enumeration. `d` must cover `q` (use [`pq_engine::hypertree::prepare`]
-/// or [`pq_hypergraph::decompose`] to obtain one).
+/// or [`pq_hypergraph::decompose`] to obtain one). Bag materialization and
+/// the sweep fan out on the pool `ctx` carries; byte-identical at any thread
+/// count.
 pub fn count_decomposed(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -40,26 +38,6 @@ pub fn count_decomposed(
     }
     let (bags, tree, rels) = materialize_bags_governed(q, db, d, ctx)?;
     finish_count(q, &bags, &tree, &rels, ctx, ENGINE)
-}
-
-/// [`count_decomposed`] with parallel bag materialization and the parallel
-/// sweep; byte-identical at any thread count.
-pub fn count_decomposed_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    d: &HypertreeDecomposition,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<QueryCount> {
-    check_safety(q)?;
-    if q.atoms.is_empty() {
-        return Ok(QueryCount {
-            distinct: 1,
-            assignments: 1,
-        });
-    }
-    let (bags, tree, rels) = materialize_bags_parallel(q, db, d, shared, pool)?;
-    finish_count_parallel(q, &bags, &tree, &rels, shared, pool, ENGINE)
 }
 
 /// Grouped counts over a hypertree decomposition: one row per assignment of
@@ -84,34 +62,12 @@ pub fn count_by_decomposed(
     finish_count_by(q, &bags, &tree, &rels, &groups, ctx, ENGINE)
 }
 
-/// [`count_by_decomposed`] with the parallel sweep; byte-identical at any
-/// thread count.
-pub fn count_by_decomposed_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    d: &HypertreeDecomposition,
-    groups: &[String],
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<CountedRelation> {
-    check_safety(q)?;
-    let groups = check_groups(q, groups)?;
-    if q.atoms.is_empty() {
-        let mut out = CountedRelation::new(groups.iter().map(String::clone))?;
-        if groups.is_empty() {
-            out.insert_add(pq_data::Tuple::default(), 1, ENGINE)?;
-        }
-        return Ok(out);
-    }
-    let (bags, tree, rels) = materialize_bags_parallel(q, db, d, shared, pool)?;
-    finish_count_by_parallel(q, &bags, &tree, &rels, &groups, shared, pool, ENGINE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pq_data::tuple;
     use pq_engine::hypertree;
+    use pq_exec::Pool;
     use pq_query::parse_cq;
 
     fn triangle_db() -> Database {
@@ -170,9 +126,8 @@ mod tests {
             let d = hypertree::prepare(&q).unwrap();
             let serial = count_decomposed(&q, &db, &d, &ExecutionContext::unlimited()).unwrap();
             for threads in [1, 3] {
-                let pool = Pool::new(threads);
-                let shared = ExecutionContext::unlimited().into_shared();
-                let par = count_decomposed_parallel(&q, &db, &d, &shared, &pool).unwrap();
+                let ctx = ExecutionContext::unlimited().with_pool(&Pool::new(threads));
+                let par = count_decomposed(&q, &db, &d, &ctx).unwrap();
                 assert_eq!(par, serial, "{src} at {threads} threads");
             }
         }
@@ -198,10 +153,8 @@ mod tests {
             assert_eq!(expected.get(t).copied(), Some(c), "group {t}");
         }
         // Parallel grouped agrees too.
-        let pool = Pool::new(2);
-        let shared = ExecutionContext::unlimited().into_shared();
-        let par =
-            count_by_decomposed_parallel(&q, &db, &d, &["x".to_string()], &shared, &pool).unwrap();
+        let par_ctx = ExecutionContext::unlimited().with_pool(&Pool::new(2));
+        let par = count_by_decomposed(&q, &db, &d, &["x".to_string()], &par_ctx).unwrap();
         assert_eq!(par, by_x);
     }
 }

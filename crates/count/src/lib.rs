@@ -20,10 +20,10 @@
 //! into the parent. All arithmetic is checked: an overflowing count is a
 //! typed [`CountError::Overflow`], never a wrapped number.
 //!
-//! Entry points mirror the engine crate: ungoverned, governed
-//! ([`pq_engine::governor::ExecutionContext`]), and pool-parallel with
-//! deterministic (item-ordered) reduction, so counts are byte-identical at
-//! any thread count. Grouped counts (`COUNT(Q) GROUP BY x̄`) come back as a
+//! Entry points mirror the engine crate: ungoverned and governed
+//! ([`pq_engine::governor::ExecutionContext`]); a governed call fans out on
+//! the pool its context carries, with deterministic (item-ordered)
+//! reduction, so counts are byte-identical at any thread count. Grouped counts (`COUNT(Q) GROUP BY x̄`) come back as a
 //! [`CountedRelation`]; [`QueryCount`] carries both the distinct answer
 //! count (`COUNT DISTINCT`, i.e. `|Q(d)|`) and the bag-semantics assignment
 //! count.
@@ -40,14 +40,9 @@ use std::fmt;
 use pq_data::DataError;
 use pq_engine::EngineError;
 
-pub use acyclic::{
-    count, count_by, count_by_governed, count_by_parallel, count_governed, count_parallel,
-    quantifier_free,
-};
+pub use acyclic::{count, count_by, count_by_governed, count_governed, quantifier_free};
 pub use counted::{count_value, CountedRelation};
-pub use decomposed::{
-    count_by_decomposed, count_by_decomposed_parallel, count_decomposed, count_decomposed_parallel,
-};
+pub use decomposed::{count_by_decomposed, count_decomposed};
 
 /// Errors raised by the counting engines.
 #[derive(Debug, Clone, PartialEq, Eq)]

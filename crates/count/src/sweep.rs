@@ -21,53 +21,25 @@
 //!
 //! Overflow note: all multiplicities are ≥ 1, so any partial sum or
 //! partial product is bounded by its final value. Whether a sweep overflows
-//! therefore does not depend on the order children are folded in — the
-//! serial and parallel schedules below agree on success, value, *and*
-//! failure.
-
-use std::collections::BTreeSet;
+//! therefore does not depend on the order children are folded in — every
+//! degree of parallelism agrees on success, value, *and* failure.
 
 use pq_data::Relation;
-use pq_engine::governor::{ExecutionContext, SharedContext};
-use pq_exec::Pool;
+use pq_engine::governor::ExecutionContext;
+use pq_engine::yannakakis::{levels, zj_vars};
 use pq_hypergraph::{Hypergraph, JoinTree};
 
 use crate::counted::CountedRelation;
-use crate::Result;
+use crate::{CountError, Result};
 
-/// The variables child `j` hands its parent `u`: the connecting variables
-/// `U_j ∩ U_u` plus every tracked variable of `z` occurring in the subtree
-/// `T[j]` (in vertex-index order — deterministic).
-fn zj_vars(hg: &Hypergraph, tree: &JoinTree, j: usize, u: usize, z: &[String]) -> Vec<String> {
-    let mut keep: BTreeSet<usize> = hg.edge(j).intersection(hg.edge(u)).copied().collect();
-    for &v in &tree.subtree_vertices(hg, j) {
-        if z.iter().any(|s| s == hg.label(v)) {
-            keep.insert(v);
-        }
-    }
-    keep.iter().map(|&v| hg.label(v).to_string()).collect()
-}
-
-/// Group the tree's nodes by depth, deepest level last; nodes within a
-/// level are in ascending index order. Levels are processed back-to-front
-/// so every child's marginal is ready before its parent folds it in.
-fn levels(tree: &JoinTree) -> Vec<Vec<usize>> {
-    let mut depth = vec![0usize; tree.num_nodes()];
-    for n in tree.top_down() {
-        if let Some(u) = tree.parent(n) {
-            depth[n] = depth[u] + 1;
-        }
-    }
-    let max_depth = depth.iter().copied().max().unwrap_or(0);
-    let mut lv = vec![Vec::new(); max_depth + 1];
-    for (n, &d) in depth.iter().enumerate() {
-        lv[d].push(n);
-    }
-    lv
-}
-
-/// The serial counted sweep: returns the root counted relation over `z`
-/// (empty when the query is empty on this database).
+/// The counted sweep: returns the root counted relation over `z` (empty when
+/// the query is empty on this database).
+///
+/// Tree levels are processed deepest-first. The child marginals of a level
+/// are computed as one fan-out task per node (in node order), then folded
+/// into their parents in ascending node order on `ctx` itself. Multiplicity
+/// algebra is commutative and all weights are ≥ 1, so the result — and the
+/// overflow verdict — is identical at any thread count.
 pub(crate) fn counted_sweep(
     hg: &Hypergraph,
     tree: &JoinTree,
@@ -80,128 +52,35 @@ pub(crate) fn counted_sweep(
         .iter()
         .map(|r| Some(CountedRelation::from_relation(r)))
         .collect();
-    for j in tree.bottom_up() {
-        ctx.tick(engine)?;
-        if rels[j].as_ref().expect("node visited once").is_empty() {
-            return CountedRelation::new(z.iter().map(String::clone));
-        }
-        let Some(u) = tree.parent(j) else {
-            continue;
-        };
-        let child = rels[j].take().expect("node visited once");
-        let marginal = child.project_sum(&zj_vars(hg, tree, j, u, z), ctx, engine)?;
-        ctx.charge_tuples(engine, marginal.len() as u64)?;
-        let parent = rels[u].take().expect("parent not yet visited");
-        let joined = parent.join_multiply(&marginal, ctx, engine)?;
-        ctx.charge_tuples(engine, joined.len() as u64)?;
-        rels[u] = Some(joined);
-    }
-    let root = rels[tree.root()].take().expect("root remains");
-    let out = root.project_sum(z, ctx, engine)?;
-    ctx.charge_tuples(engine, out.len() as u64)?;
-    Ok(out)
-}
-
-/// The parallel counted sweep: child marginals of each tree level are
-/// computed as one pool task per node (in node order), then folded into
-/// their parents serially in ascending node order. Multiplicity algebra is
-/// commutative and all weights are ≥ 1, so the result — and the overflow
-/// verdict — is identical to [`counted_sweep`] at any thread count.
-pub(crate) fn counted_sweep_parallel(
-    hg: &Hypergraph,
-    tree: &JoinTree,
-    node_rels: &[Relation],
-    z: &[String],
-    shared: &SharedContext,
-    pool: &Pool,
-    engine: &'static str,
-) -> Result<CountedRelation> {
-    let mut rels: Vec<Option<CountedRelation>> = node_rels
-        .iter()
-        .map(|r| Some(CountedRelation::from_relation(r)))
-        .collect();
-    let schedule = levels(tree);
-    for level in schedule.iter().rev() {
+    for level in levels(tree).iter().rev() {
         for &j in level {
+            ctx.tick(engine)?;
             if rels[j].as_ref().expect("node visited once").is_empty() {
                 return CountedRelation::new(z.iter().map(String::clone));
             }
         }
         // Root level: nothing to marginalize into a parent.
-        if level.len() == 1 && tree.parent(level[0]).is_none() {
+        if tree.parent(level[0]).is_none() {
             continue;
         }
-        let marginals: Vec<CountedRelation> = pool.try_run(level, |_, &j| {
-            let w = shared.worker();
+        let marginals: Vec<CountedRelation> = ctx.try_run(level, |ctx, _, &j| {
             let u = tree.parent(j).expect("non-root levels have parents");
             let child = rels[j].as_ref().expect("node visited once");
-            let m = child.project_sum(&zj_vars(hg, tree, j, u, z), &w, engine)?;
-            w.charge_tuples(engine, m.len() as u64)?;
-            Ok::<_, crate::CountError>(m)
+            let m = child.project_sum(&zj_vars(hg, tree, j, u, z), ctx, engine)?;
+            ctx.charge_tuples(engine, m.len() as u64)?;
+            Ok::<_, CountError>(m)
         })?;
-        let w = shared.worker();
-        for (idx, &j) in level.iter().enumerate() {
+        for (&j, marginal) in level.iter().zip(&marginals) {
             rels[j] = None;
             let u = tree.parent(j).expect("non-root levels have parents");
             let parent = rels[u].take().expect("parent not yet visited");
-            let joined = parent.join_multiply(&marginals[idx], &w, engine)?;
-            w.charge_tuples(engine, joined.len() as u64)?;
+            let joined = parent.join_multiply(marginal, ctx, engine)?;
+            ctx.charge_tuples(engine, joined.len() as u64)?;
             rels[u] = Some(joined);
         }
     }
-    let w = shared.worker();
     let root = rels[tree.root()].take().expect("root remains");
-    let out = root.project_sum(z, &w, engine)?;
-    w.charge_tuples(engine, out.len() as u64)?;
+    let out = root.project_sum(z, ctx, engine)?;
+    ctx.charge_tuples(engine, out.len() as u64)?;
     Ok(out)
-}
-
-/// Partition-and-sum total of a counted relation over a pool: multiplicity
-/// chunks (in row order) are summed per task and the partials folded in
-/// chunk order — deterministic, and since all terms are non-negative the
-/// overflow verdict matches the serial total.
-pub(crate) fn total_parallel(
-    cr: &CountedRelation,
-    pool: &Pool,
-    engine: &'static str,
-) -> Result<u128> {
-    let counts: Vec<u128> = cr.iter().map(|(_, c)| c).collect();
-    let chunks = pq_exec::morsels(counts.len(), pool.threads().saturating_mul(4).max(1));
-    let partials: Vec<u128> = pool.try_run(&chunks, |_, r| {
-        counts[r.clone()]
-            .iter()
-            .try_fold(0u128, |a, &b| a.checked_add(b))
-            .ok_or(crate::CountError::Overflow { engine })
-    })?;
-    partials
-        .into_iter()
-        .try_fold(0u128, |a, b| a.checked_add(b))
-        .ok_or(crate::CountError::Overflow { engine })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn levels_group_by_depth() {
-        // 1 -> 0 <- 2, 3 -> 1  (root 0)
-        let t = JoinTree::from_parents(vec![None, Some(0), Some(0), Some(1)]);
-        assert_eq!(levels(&t), vec![vec![0], vec![1, 2], vec![3]]);
-    }
-
-    #[test]
-    fn zj_vars_track_connecting_and_z_vars() {
-        let hg = Hypergraph::from_edges([vec!["x", "y"], vec!["y", "z"], vec!["z", "w"]]);
-        // path 0 -> 1 -> 2, root 2
-        let t = JoinTree::from_parents(vec![Some(1), Some(2), None]);
-        // No tracked vars: just the connector.
-        assert_eq!(zj_vars(&hg, &t, 0, 1, &[]), vec!["y".to_string()]);
-        // Tracking x keeps it through the join even though the parent
-        // lacks it.
-        assert_eq!(
-            zj_vars(&hg, &t, 0, 1, &["x".to_string()]),
-            vec!["x".to_string(), "y".to_string()]
-        );
-    }
 }

@@ -60,8 +60,11 @@ impl Relation {
     /// product, which has a single "partition" — that case (and a degree-1
     /// pool) falls back to the serial kernel.
     pub fn par_natural_join(&self, right: &Relation, pool: &Pool) -> Result<Relation> {
+        if pool.threads() <= 1 {
+            return self.natural_join(right);
+        }
         let plan = join_plan(self, right);
-        if plan.left_key.is_empty() || pool.threads() <= 1 {
+        if plan.left_key.is_empty() {
             return self.natural_join(right);
         }
         let mut lparts: Vec<Vec<&Tuple>> = (0..JOIN_PARTITIONS).map(|_| Vec::new()).collect();

@@ -10,9 +10,13 @@
 //!
 //! Total running time (deterministic emptiness): `O(g(v)·q·n·log n)` per
 //! function with `g(v) = 2^{O(v log v)}` — the paper's bound.
+//!
+//! The trial loop has two private arms, chosen from the degree of the pool
+//! the context carries: serially it walks the family lazily and stops at the
+//! first witness without ever materializing a coloring it does not run; with
+//! a pool it draws fixed 64-trial batches and fans each batch out.
 
 use pq_data::{Database, Relation, Tuple};
-use pq_exec::{Pool, Verdict};
 use pq_query::ConjunctiveQuery;
 
 use super::algorithms::{
@@ -21,13 +25,12 @@ use super::algorithms::{
 use super::hashing::{Coloring, DomainIndex, HashFamily};
 use crate::binding::head_attrs;
 use crate::error::{EngineError, Result};
-use crate::governor::{CancellationToken, ExecutionContext, SharedContext};
-use crate::naive::is_cancellation;
+use crate::governor::ExecutionContext;
 
 /// Engine name reported in resource-exhaustion errors.
 const ENGINE: &str = "color-coding";
 
-/// Trials claimed per scheduling round by the parallel driver. Colorings are
+/// Trials claimed per scheduling round by the parallel arm. Colorings are
 /// drawn lazily from the family iterator in fixed-size batches (the perfect
 /// family is exponential in `k`, so materializing it up front is not an
 /// option); the batch size is a constant so the batch boundaries — and with
@@ -102,6 +105,14 @@ pub fn is_nonempty(q: &ConjunctiveQuery, db: &Database, opts: &ColorCodingOption
 
 /// [`is_nonempty`] under the resource limits of `ctx`: each trial coloring
 /// ticks the clock and the per-node relations are charged to the budget.
+///
+/// With a pool on `ctx` the trials of a batch race
+/// ([`ExecutionContext::find_first`]): the first successful trial wins and
+/// cancels the rest of its batch. The answer is identical to the serial arm
+/// at any thread count — with the perfect family a witness exists for *some*
+/// coloring iff `Q(d)` is nonempty, so which trial finds it first is
+/// immaterial; with the random family the same trials are drawn in the same
+/// order.
 pub fn is_nonempty_governed(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -121,13 +132,29 @@ pub fn is_nonempty_governed(
     }
     let dom = DomainIndex::from_database(db);
     let k = prep.partition.k();
-    for h in opts.family.colorings(&dom, k) {
-        ctx.tick(ENGINE)?;
-        if algorithm1_governed(&prep, &dom, &h, ctx)?.is_some() {
+    let mut colorings = opts.family.colorings(&dom, k);
+    if ctx.pool().threads() <= 1 {
+        for h in colorings {
+            ctx.tick(ENGINE)?;
+            if algorithm1_governed(&prep, &dom, &h, ctx)?.is_some() {
+                return Ok(true);
+            }
+        }
+        return Ok(false);
+    }
+    loop {
+        let batch: Vec<Coloring> = colorings.by_ref().take(TRIAL_BATCH).collect();
+        if batch.is_empty() {
+            return Ok(false);
+        }
+        let hit = ctx.find_first(&batch, |ctx, _, h| {
+            ctx.tick(ENGINE)?;
+            Ok(algorithm1_governed(&prep, &dom, h, ctx)?.map(|_| ()))
+        })?;
+        if hit.is_some() {
             return Ok(true);
         }
     }
-    Ok(false)
 }
 
 /// The decision problem `t ∈ Q(d)`: substitute and test emptiness.
@@ -180,7 +207,10 @@ pub fn evaluate(
     evaluate_governed(q, db, opts, &ExecutionContext::unlimited())
 }
 
-/// [`evaluate`] under the resource limits of `ctx`.
+/// [`evaluate`] under the resource limits of `ctx`. With a pool on `ctx` the
+/// trials of each batch fan out and the per-trial partial answers are
+/// unioned in trial order, so the output relation is identical to the serial
+/// arm's at any thread count.
 pub fn evaluate_governed(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -203,113 +233,29 @@ pub fn evaluate_governed(
     let dom = DomainIndex::from_database(db);
     let k = prep.partition.k();
     let head_vars: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-    for h in opts.family.colorings(&dom, k) {
+    let trial = |ctx: &ExecutionContext, h: &Coloring| -> Result<Option<Relation>> {
         ctx.tick(ENGINE)?;
-        let Some(p) = algorithm1_governed(&prep, &dom, &h, ctx)? else {
-            continue;
+        let Some(p) = algorithm1_governed(&prep, &dom, h, ctx)? else {
+            return Ok(None);
         };
         let star = algorithm2_governed(&prep, p, &head_vars, ctx)?;
-        let part = materialize_head_governed(q, &star, ctx)?;
-        out = out.union(&part)?;
-    }
-    Ok(out)
-}
-
-/// [`is_nonempty`] with parallel trial colorings racing on `pool`: the first
-/// successful trial wins and cancels the rest of its batch through a
-/// race-scoped [`CancellationToken`]. The answer is identical to the serial
-/// driver at any thread count — with the perfect family a witness exists for
-/// *some* coloring iff `Q(d)` is nonempty, so which trial finds it first is
-/// immaterial; with the random family the same trials are drawn in the same
-/// order.
-pub fn is_nonempty_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    opts: &ColorCodingOptions,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    if q.atoms.is_empty() || pool.threads() <= 1 {
-        return is_nonempty_governed(q, db, opts, &shared.worker());
-    }
-    check_head_safety(q)?;
-    let ctx = shared.worker();
-    let prep = Prepared::build_governed(q, db, opts.minimize_hashed_attrs, &ctx)?;
-    if prep.partition.trivially_false {
-        return Ok(false);
-    }
-    let dom = DomainIndex::from_database(db);
-    let k = prep.partition.k();
+        Ok(Some(materialize_head_governed(q, &star, ctx)?))
+    };
     let mut colorings = opts.family.colorings(&dom, k);
-    loop {
-        let batch: Vec<Coloring> = colorings.by_ref().take(TRIAL_BATCH).collect();
-        if batch.is_empty() {
-            return Ok(false);
-        }
-        let race = CancellationToken::new();
-        let hit = pool.find_first(&batch, |_, h| {
-            let ctx = shared.worker().with_cancellation(race.clone());
-            if let Err(e) = ctx.tick(ENGINE) {
-                return if race.is_cancelled() && is_cancellation(&e) {
-                    Verdict::Retire
-                } else {
-                    Verdict::Abort(e)
-                };
+    if ctx.pool().threads() <= 1 {
+        for h in colorings {
+            if let Some(part) = trial(ctx, &h)? {
+                out = out.union(&part)?;
             }
-            match algorithm1_governed(&prep, &dom, h, &ctx) {
-                Ok(Some(_)) => {
-                    race.cancel();
-                    Verdict::Hit(())
-                }
-                Ok(None) => Verdict::Miss,
-                Err(e) if race.is_cancelled() && is_cancellation(&e) => Verdict::Retire,
-                Err(e) => Verdict::Abort(e),
-            }
-        })?;
-        if hit.is_some() {
-            return Ok(true);
         }
-    }
-}
-
-/// [`evaluate`] with parallel trial colorings on `pool`. Per-trial partial
-/// answers are unioned in trial order, so the output relation is identical
-/// to the serial driver at any thread count.
-pub fn evaluate_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    opts: &ColorCodingOptions,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    if q.atoms.is_empty() || pool.threads() <= 1 {
-        return evaluate_governed(q, db, opts, &shared.worker());
-    }
-    check_head_safety(q)?;
-    let ctx = shared.worker();
-    let prep = Prepared::build_governed(q, db, opts.minimize_hashed_attrs, &ctx)?;
-    let mut out = Relation::new(head_attrs(&q.head_terms))?;
-    if prep.partition.trivially_false {
         return Ok(out);
     }
-    let dom = DomainIndex::from_database(db);
-    let k = prep.partition.k();
-    let head_vars: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-    let mut colorings = opts.family.colorings(&dom, k);
     loop {
         let batch: Vec<Coloring> = colorings.by_ref().take(TRIAL_BATCH).collect();
         if batch.is_empty() {
             return Ok(out);
         }
-        let parts: Vec<Option<Relation>> = pool.try_run(&batch, |_, h| {
-            let ctx = shared.worker();
-            ctx.tick(ENGINE)?;
-            let Some(p) = algorithm1_governed(&prep, &dom, h, &ctx)? else {
-                return Ok(None);
-            };
-            let star = algorithm2_governed(&prep, p, &head_vars, &ctx)?;
-            Ok::<_, EngineError>(Some(materialize_head_governed(q, &star, &ctx)?))
-        })?;
+        let parts = ctx.try_run(&batch, |ctx, _, h| trial(ctx, h))?;
         for part in parts.into_iter().flatten() {
             out = out.union(&part)?;
         }

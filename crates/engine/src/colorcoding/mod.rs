@@ -25,8 +25,8 @@ pub use algorithms::{
     algorithm1, algorithm1_governed, algorithm2, algorithm2_governed, hashed_attr, Prepared,
 };
 pub use driver::{
-    decide, decide_governed, evaluate, evaluate_governed, evaluate_parallel, is_nonempty,
-    is_nonempty_governed, is_nonempty_parallel, ColorCodingOptions,
+    decide, decide_governed, evaluate, evaluate_governed, is_nonempty, is_nonempty_governed,
+    ColorCodingOptions,
 };
 pub use formula_neq::NeqFormula;
 pub use hashing::{Coloring, DomainIndex, HashFamily};

@@ -7,16 +7,21 @@
 //! to compute for each rule a conjunctive query with at most v variables" —
 //! which is how fixed-arity Datalog lands in W\[1\]. The per-stage CQs here
 //! are evaluated with the naive engine, making that structure literal.
+//!
+//! The fixpoint has two private arms, chosen from the degree of the pool the
+//! context carries: the serial one lets a rule see tuples inserted earlier in
+//! the same round (and shares [`delta::propagate`] with `pq-ivm`), the
+//! fanned-out one evaluates every job of a round against the round-start
+//! snapshot; both reach the same least fixpoint, in different round counts.
 
 use std::collections::BTreeMap;
 
 use pq_data::{Database, Relation, Tuple};
-use pq_exec::Pool;
 use pq_query::DatalogProgram;
 
 use crate::delta::{self, delta_rule_cq, idb_arities, positional_relation, rule_to_cq};
 use crate::error::{EngineError, Result};
-use crate::governor::{ExecutionContext, SharedContext};
+use crate::governor::ExecutionContext;
 use crate::naive;
 
 /// Engine name reported in resource-exhaustion errors.
@@ -92,6 +97,14 @@ pub fn evaluate_with_stats(
 /// The budget is shared with the per-rule conjunctive-query evaluations, so
 /// a fixpoint that derives too many tuples — or a single rule body that
 /// explodes — both surface as [`EngineError::ResourceExhausted`].
+///
+/// With a pool on `ctx`, each round evaluates all of its jobs (one per rule,
+/// or per (rule, Δ-atom) for semi-naive) against the database *as of the
+/// start of the round* and merges the derived tuples in job order, so the
+/// result is identical at any thread count. The serial fixpoint instead lets
+/// a rule see tuples inserted earlier in the same round, so it can converge
+/// in *fewer rounds*; both reach the same least fixpoint (rule application
+/// is monotone), and the goal relation is identical.
 pub fn evaluate_with_stats_governed(
     p: &DatalogProgram,
     db: &Database,
@@ -103,9 +116,13 @@ pub fn evaluate_with_stats_governed(
         rule_eval_counts: vec![0; p.rules.len()],
         ..FixpointStats::default()
     };
-    match strategy {
-        Strategy::Naive => naive_fixpoint(p, &mut work, &mut stats, ctx)?,
-        Strategy::SemiNaive => seminaive_fixpoint(p, &mut work, &mut stats, ctx)?,
+    match (strategy, ctx.pool().threads() > 1) {
+        (Strategy::Naive, false) => naive_fixpoint(p, &mut work, &mut stats, ctx)?,
+        (Strategy::SemiNaive, false) => seminaive_fixpoint(p, &mut work, &mut stats, ctx)?,
+        (Strategy::Naive, true) => snapshot_naive_fixpoint(p, &mut work, &mut stats, ctx)?,
+        (Strategy::SemiNaive, true) => {
+            snapshot_seminaive_fixpoint(p, &mut work, &arities, &mut stats, ctx)?
+        }
     }
     finish(p, &work, &arities, stats)
 }
@@ -238,68 +255,23 @@ fn seminaive_fixpoint(
     Ok(())
 }
 
-/// [`evaluate`] with per-rule (naive) or per-(rule, Δ-atom) (semi-naive)
-/// parallel evaluation on `pool`; see [`evaluate_with_stats_parallel`].
-pub fn evaluate_parallel(
-    p: &DatalogProgram,
-    db: &Database,
-    strategy: Strategy,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    Ok(evaluate_with_stats_parallel(p, db, strategy, shared, pool)?.0)
-}
-
-/// [`evaluate_with_stats`] with the per-round rule evaluations fanned out on
-/// `pool`, every worker charging the shared envelope.
-///
-/// Each round evaluates all of its jobs against the database *as of the
-/// start of the round* and merges the derived tuples in job order, so the
-/// result is identical at any thread count. The serial fixpoint instead lets
-/// a rule see tuples inserted earlier in the same round, so it can converge
-/// in *fewer rounds*; both reach the same least fixpoint (rule application
-/// is monotone), and the goal relation is identical.
-pub fn evaluate_with_stats_parallel(
-    p: &DatalogProgram,
-    db: &Database,
-    strategy: Strategy,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<(Relation, FixpointStats)> {
-    let (arities, mut work) = setup_work(p, db)?;
-    let mut stats = FixpointStats {
-        rule_eval_counts: vec![0; p.rules.len()],
-        ..FixpointStats::default()
-    };
-    match strategy {
-        Strategy::Naive => parallel_naive_fixpoint(p, &mut work, &mut stats, shared, pool)?,
-        Strategy::SemiNaive => {
-            parallel_seminaive_fixpoint(p, &mut work, &arities, &mut stats, shared, pool)?
-        }
-    }
-    finish(p, &work, &arities, stats)
-}
-
-fn parallel_naive_fixpoint(
+fn snapshot_naive_fixpoint(
     p: &DatalogProgram,
     work: &mut Database,
     stats: &mut FixpointStats,
-    shared: &SharedContext,
-    pool: &Pool,
+    ctx: &ExecutionContext,
 ) -> Result<()> {
     loop {
         stats.rounds += 1;
         let snapshot: &Database = work;
-        let derived: Vec<Relation> = pool.try_run(&p.rules, |_, rule| {
-            let ctx = shared.worker();
+        let derived: Vec<Relation> = ctx.try_run(&p.rules, |ctx, _, rule| {
             ctx.tick(ENGINE)?;
-            naive::evaluate_governed(&rule_to_cq(rule), snapshot, &ctx)
+            naive::evaluate_governed(&rule_to_cq(rule), snapshot, ctx)
         })?;
         stats.rule_evaluations += p.rules.len();
         for c in stats.rule_eval_counts.iter_mut() {
             *c += 1;
         }
-        let ctx = shared.worker();
         let mut changed = false;
         for (rule, d) in p.rules.iter().zip(derived) {
             let target = work.relation_mut(&rule.head.relation)?;
@@ -316,29 +288,26 @@ fn parallel_naive_fixpoint(
     }
 }
 
-fn parallel_seminaive_fixpoint(
+fn snapshot_seminaive_fixpoint(
     p: &DatalogProgram,
     work: &mut Database,
     arities: &BTreeMap<String, usize>,
     stats: &mut FixpointStats,
-    shared: &SharedContext,
-    pool: &Pool,
+    ctx: &ExecutionContext,
 ) -> Result<()> {
     // Round 0: every rule against the initial database (IDBs empty).
     let mut delta: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
     stats.rounds = 1;
     {
         let snapshot: &Database = work;
-        let derived: Vec<Relation> = pool.try_run(&p.rules, |_, rule| {
-            let ctx = shared.worker();
+        let derived: Vec<Relation> = ctx.try_run(&p.rules, |ctx, _, rule| {
             ctx.tick(ENGINE)?;
-            naive::evaluate_governed(&rule_to_cq(rule), snapshot, &ctx)
+            naive::evaluate_governed(&rule_to_cq(rule), snapshot, ctx)
         })?;
         stats.rule_evaluations += p.rules.len();
         for c in stats.rule_eval_counts.iter_mut() {
             *c += 1;
         }
-        let ctx = shared.worker();
         for (rule, d) in p.rules.iter().zip(derived) {
             let target = work.relation_mut(&rule.head.relation)?;
             for t in d.iter() {
@@ -375,17 +344,15 @@ fn parallel_seminaive_fixpoint(
         }
 
         let snapshot: &Database = work;
-        let derived: Vec<Relation> = pool.try_run(&jobs, |_, &(ri, ai)| {
-            let ctx = shared.worker();
+        let derived: Vec<Relation> = ctx.try_run(&jobs, |ctx, _, &(ri, ai)| {
             ctx.tick(ENGINE)?;
-            naive::evaluate_governed(&delta_rule_cq(&p.rules[ri], ai), snapshot, &ctx)
+            naive::evaluate_governed(&delta_rule_cq(&p.rules[ri], ai), snapshot, ctx)
         })?;
         stats.rule_evaluations += jobs.len();
         for &(ri, _) in &jobs {
             stats.rule_eval_counts[ri] += 1;
         }
 
-        let ctx = shared.worker();
         let mut next_delta: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
         for (&(ri, _), d) in jobs.iter().zip(derived.iter()) {
             let head = &p.rules[ri].head.relation;

@@ -32,30 +32,40 @@
 //! `!Sync`. That is the right default: a single-threaded evaluation charges
 //! its budget with plain loads and stores — no lock prefixes, no cache-line
 //! contention — and the type system guarantees nobody shares the context
-//! across threads by accident. The cost of that efficiency is that
-//! intra-query parallelism (`pq-exec`) cannot use it directly.
+//! across threads by accident.
 //!
-//! [`SharedContext`] is the explicit opt-in to the other side of the trade:
-//! [`ExecutionContext::into_shared`] *moves* the limits and counters into
-//! `AtomicU64`s behind an `Arc`, and [`SharedContext::worker`] mints
-//! per-thread `ExecutionContext`s that delegate charging to the shared
+//! [`ExecutionContext::with_pool`] is the opt-in to the other side of the
+//! trade, and the *only* switch between serial and intra-query parallel
+//! execution: every `*_governed` engine entry point runs at whatever degree
+//! the context it is handed carries. Attaching a pool of degree > 1 *moves*
+//! the limits and counters into `AtomicU64`s behind an `Arc` (one shared
+//! envelope), and the context's fan-out methods
+//! ([`ExecutionContext::try_run`], [`ExecutionContext::find_first`]) hand
+//! every pool task a worker context that delegates charging to those
 //! atomics. Every worker then draws down **one** tuple budget against
 //! **one** deadline, so exhaustion in any worker makes every other worker's
 //! next charge fail too — a single resource envelope governs the whole
-//! parallel query, exactly as it would govern the serial one. The charging
-//! *protocol* (what counts as a tick, what gets charged, when the clock is
-//! consulted) is identical in both modes; only the memory primitive
-//! differs, and the round-trip tests below hold the two modes to that.
+//! parallel query, exactly as it would govern the serial one. With no pool,
+//! or a degree-1 pool, the same fan-out methods loop inline and hand the
+//! closure the context itself: same `Cell` counters, same tick and charge
+//! sequence, no atomics. Engine closures never capture the context (it is
+//! `!Sync`); they receive the one to charge as an argument.
+//!
+//! The charging *protocol* (what counts as a tick, what gets charged, when
+//! the clock is consulted) is identical in both modes; only the memory
+//! primitive differs, and the tests below hold the two modes to that.
 //! Worker-local state that is semantically per-thread — the recursion depth
 //! and the tick-amortization counter — stays in `Cell`s on each worker
-//! context.
+//! context. Workers carry no pool, so fan-out never nests.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 #[cfg(any(test, feature = "fault-injection"))]
 use std::sync::Mutex;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+use pq_exec::{Pool, Verdict};
 
 use crate::error::{EngineError, Result};
 
@@ -152,11 +162,14 @@ pub struct ExecutionContext {
     depth: Cell<usize>,
     atoms_processed: Cell<u64>,
     tuples_materialized: Cell<u64>,
-    /// When set, this is a worker handle of a [`SharedContext`]: limits and
+    /// When set, this is a handle of a shared envelope: limits and
     /// cumulative counters live in the shared atomics, and the local fields
     /// above only track per-thread state (depth, tick amortization) plus any
     /// *additional* local limits (e.g. a per-race cancellation token).
     shared: Option<Arc<SharedState>>,
+    /// The fan-out pool; set only by [`ExecutionContext::with_pool`] at
+    /// degree > 1, never on the worker handles given to pool tasks.
+    pool: Option<Pool>,
     #[cfg(any(test, feature = "fault-injection"))]
     fault: Cell<Option<FaultSpec>>,
 }
@@ -214,35 +227,120 @@ impl ExecutionContext {
         self
     }
 
-    // ---- shared-budget mode ----
+    // ---- intra-query parallelism ----
 
-    /// Move this context's limits and counters into a [`SharedContext`]: the
-    /// `Sync` shared-budget mode used for intra-query parallelism.
-    ///
-    /// Consumes `self` (the budget must not survive in two places); the
-    /// shared context's worker handles then charge the same envelope the
-    /// serial context would have. Depth already entered on `self` is
-    /// per-thread state and does not transfer.
+    /// Run governed engines on this context with intra-query fan-out on
+    /// `pool`. At degree > 1 the limits and counters move into one shared
+    /// envelope that every pool task charges; a degree-1 pool leaves the
+    /// context exactly as it was (serial, `Cell`-counted). Attach the pool
+    /// last: limits added afterwards stay on this handle and do not reach
+    /// the pool's workers.
     #[must_use]
-    pub fn into_shared(self) -> SharedContext {
-        SharedContext {
-            state: Arc::new(SharedState {
-                deadline: self.deadline,
-                budgeted: self.tuples_remaining.is_some(),
-                tuples_remaining: AtomicU64::new(
-                    self.tuples_remaining.as_ref().map_or(0, Cell::get),
-                ),
-                max_depth: self.max_depth,
-                cancel: self.cancel,
-                ticks: AtomicU64::new(self.ticks.get()),
-                atoms_processed: AtomicU64::new(self.atoms_processed.get()),
-                tuples_materialized: AtomicU64::new(self.tuples_materialized.get()),
-                #[cfg(any(test, feature = "fault-injection"))]
-                fault_armed: AtomicBool::new(self.fault.get().is_some()),
-                #[cfg(any(test, feature = "fault-injection"))]
-                fault: Mutex::new(self.fault.get()),
-            }),
+    pub fn with_pool(mut self, pool: &Pool) -> Self {
+        if pool.threads() <= 1 {
+            return self;
         }
+        if self.shared.is_none() {
+            self = worker(&self.into_shared());
+        }
+        self.pool = Some(pool.clone());
+        self
+    }
+
+    /// The pool engines hand to the data-parallel relation kernels
+    /// (`par_semijoin`, `par_natural_join`): the attached one, or a degree-1
+    /// pool (on which those kernels are the serial ones) when none was.
+    pub fn pool(&self) -> &Pool {
+        static INLINE: OnceLock<Pool> = OnceLock::new();
+        self.pool
+            .as_ref()
+            .unwrap_or_else(|| INLINE.get_or_init(|| Pool::new(1)))
+    }
+
+    /// Apply `f` to every item and return the outputs in item order, or the
+    /// error of the smallest-indexed failing item ([`Pool::try_run`]). `f`
+    /// receives the context to charge: a fresh worker of the shared envelope
+    /// per item when a pool is attached, `self` (looping inline, in item
+    /// order) otherwise.
+    pub fn try_run<I, O, E, F>(&self, items: &[I], f: F) -> std::result::Result<Vec<O>, E>
+    where
+        I: Sync,
+        O: Send,
+        E: Send,
+        F: Fn(&ExecutionContext, usize, &I) -> std::result::Result<O, E> + Sync,
+    {
+        match (&self.pool, &self.shared) {
+            (Some(pool), Some(state)) => pool.try_run(items, |i, it| f(&worker(state), i, it)),
+            _ => items
+                .iter()
+                .enumerate()
+                .map(|(i, it)| f(self, i, it))
+                .collect(),
+        }
+    }
+
+    /// Race `f` over the items and return the witness of the
+    /// smallest-indexed item that produced one, `None` when every item came
+    /// back empty, or the error a sequential scan would have hit first
+    /// ([`Pool::find_first`]). Serially that *is* a sequential scan on
+    /// `self`; with a pool attached each task gets a worker of the shared
+    /// envelope plus a race-scoped cancellation token that the first witness
+    /// trips, and tasks that stop on that token retire without counting as
+    /// failures.
+    pub fn find_first<I, O, F>(&self, items: &[I], f: F) -> Result<Option<O>>
+    where
+        I: Sync,
+        O: Send,
+        F: Fn(&ExecutionContext, usize, &I) -> Result<Option<O>> + Sync,
+    {
+        let (Some(pool), Some(state)) = (&self.pool, &self.shared) else {
+            for (i, it) in items.iter().enumerate() {
+                if let Some(o) = f(self, i, it)? {
+                    return Ok(Some(o));
+                }
+            }
+            return Ok(None);
+        };
+        let race = CancellationToken::new();
+        let hit = pool.find_first(items, |i, it| {
+            let ctx = worker(state).with_cancellation(race.clone());
+            match f(&ctx, i, it) {
+                Ok(Some(o)) => {
+                    race.cancel();
+                    Verdict::Hit(o)
+                }
+                Ok(None) => Verdict::Miss,
+                // A task cancelled because the race was already won is not a
+                // failure; a cancellation from the *shared* envelope without
+                // a winner still surfaces as an abort.
+                Err(EngineError::ResourceExhausted {
+                    kind: ResourceKind::Cancelled,
+                    ..
+                }) if race.is_cancelled() => Verdict::Retire,
+                Err(e) => Verdict::Abort(e),
+            }
+        })?;
+        Ok(hit.map(|(_, o)| o))
+    }
+
+    /// Move this context's limits and counters into a shared envelope.
+    /// Consumes `self` (the budget must not survive in two places). Depth
+    /// already entered on `self` is per-thread state and does not transfer.
+    fn into_shared(self) -> Arc<SharedState> {
+        Arc::new(SharedState {
+            deadline: self.deadline,
+            budgeted: self.tuples_remaining.is_some(),
+            tuples_remaining: AtomicU64::new(self.tuples_remaining.as_ref().map_or(0, Cell::get)),
+            max_depth: self.max_depth,
+            cancel: self.cancel,
+            ticks: AtomicU64::new(self.ticks.get()),
+            atoms_processed: AtomicU64::new(self.atoms_processed.get()),
+            tuples_materialized: AtomicU64::new(self.tuples_materialized.get()),
+            #[cfg(any(test, feature = "fault-injection"))]
+            fault_armed: AtomicBool::new(self.fault.get().is_some()),
+            #[cfg(any(test, feature = "fault-injection"))]
+            fault: Mutex::new(self.fault.get()),
+        })
     }
 
     // ---- accounting reads ----
@@ -473,8 +571,9 @@ impl ExecutionContext {
     }
 }
 
-/// The `Sync` interior of a [`SharedContext`]: one resource envelope shared
-/// by every worker of a parallel evaluation.
+/// The `Sync` shared-budget mode of the governor (see the module docs for the
+/// `Cell`-vs-atomic trade): one resource envelope charged by every worker of
+/// a context that [`ExecutionContext::with_pool`] made parallel.
 #[derive(Debug)]
 struct SharedState {
     deadline: Option<Instant>,
@@ -494,97 +593,13 @@ struct SharedState {
     fault: Mutex<Option<FaultSpec>>,
 }
 
-/// The `Sync` shared-budget mode of the governor (see the module docs for
-/// the `Cell`-vs-atomic trade).
-///
-/// Built with [`ExecutionContext::into_shared`]; hand every worker thread a
-/// context from [`SharedContext::worker`] and they all draw down the same
-/// tuple budget against the same deadline and cancellation token. Cloning
-/// the handle is cheap and does **not** fork the budget — all clones point
-/// at the same envelope.
-#[derive(Debug, Clone)]
-pub struct SharedContext {
-    state: Arc<SharedState>,
-}
-
-impl SharedContext {
-    /// Mint a worker handle: an [`ExecutionContext`] whose charging
-    /// delegates to this shared envelope. Per-thread state (recursion depth,
-    /// tick amortization) is fresh; callers may still add worker-local
-    /// limits — typically [`ExecutionContext::with_cancellation`] with a
-    /// race-scoped token.
-    pub fn worker(&self) -> ExecutionContext {
-        ExecutionContext {
-            shared: Some(Arc::clone(&self.state)),
-            ..ExecutionContext::default()
-        }
-    }
-
-    /// Ticks seen across all workers of the envelope.
-    pub fn ticks(&self) -> u64 {
-        self.state.ticks.load(Ordering::Relaxed)
-    }
-
-    /// Atoms processed across all workers.
-    pub fn atoms_processed(&self) -> u64 {
-        self.state.atoms_processed.load(Ordering::Relaxed)
-    }
-
-    /// Tuples charged across all workers.
-    pub fn tuples_materialized(&self) -> u64 {
-        self.state.tuples_materialized.load(Ordering::Relaxed)
-    }
-
-    /// Tuples still allowed, or `None` when unbudgeted.
-    pub fn tuples_remaining(&self) -> Option<u64> {
-        self.state
-            .budgeted
-            .then(|| self.state.tuples_remaining.load(Ordering::Relaxed))
-    }
-
-    /// Is any limit or fault configured on the envelope?
-    pub fn is_limited(&self) -> bool {
-        #[cfg(any(test, feature = "fault-injection"))]
-        if self.state.fault_armed.load(Ordering::Relaxed) {
-            return true;
-        }
-        self.state.deadline.is_some()
-            || self.state.budgeted
-            || self.state.max_depth.is_some()
-            || self.state.cancel.is_some()
-    }
-
-    /// Move the envelope back into a serial [`ExecutionContext`] — the
-    /// inverse of [`ExecutionContext::into_shared`], for callers that fan
-    /// back in and continue single-threaded (e.g. a planner fallback chain
-    /// after a parallel attempt).
-    ///
-    /// Call this after every worker context has been dropped; if other
-    /// handles to the envelope are still alive, the returned context gets a
-    /// *snapshot* of the budget and the stragglers keep the shared one —
-    /// the allowance would be double-counted from that point on.
-    #[must_use]
-    pub fn into_unshared(self) -> ExecutionContext {
-        let st = &self.state;
-        let ctx = ExecutionContext {
-            deadline: st.deadline,
-            tuples_remaining: st
-                .budgeted
-                .then(|| Cell::new(st.tuples_remaining.load(Ordering::Relaxed))),
-            max_depth: st.max_depth,
-            cancel: st.cancel.clone(),
-            ticks: Cell::new(st.ticks.load(Ordering::Relaxed)),
-            depth: Cell::new(0),
-            atoms_processed: Cell::new(st.atoms_processed.load(Ordering::Relaxed)),
-            tuples_materialized: Cell::new(st.tuples_materialized.load(Ordering::Relaxed)),
-            shared: None,
-            #[cfg(any(test, feature = "fault-injection"))]
-            fault: Cell::new(None),
-        };
-        #[cfg(any(test, feature = "fault-injection"))]
-        ctx.fault
-            .set(*st.fault.lock().expect("fault slot poisoned"));
-        ctx
+/// Mint a handle of a shared envelope: an [`ExecutionContext`] whose charging
+/// delegates to `state`. Per-thread state (recursion depth, tick
+/// amortization) is fresh, and it carries no pool.
+fn worker(state: &Arc<SharedState>) -> ExecutionContext {
+    ExecutionContext {
+        shared: Some(Arc::clone(state)),
+        ..ExecutionContext::default()
     }
 }
 
@@ -729,35 +744,30 @@ mod tests {
         };
         let serial = ExecutionContext::new().with_tuple_budget(100);
         let shared = ExecutionContext::new().with_tuple_budget(100).into_shared();
-        let worker = shared.worker();
-        assert_eq!(script(&serial), script(&worker));
+        assert_eq!(script(&serial), script(&worker(&shared)));
     }
 
     #[test]
-    fn into_shared_round_trips_counters_and_budget() {
+    fn into_shared_carries_counters_budget_and_depth_limit() {
         let ctx = ExecutionContext::new()
             .with_tuple_budget(100)
-            .with_max_depth(7);
+            .with_max_depth(1);
         ctx.charge_tuples("t", 30).unwrap();
         ctx.tick("t").unwrap();
         ctx.note_atom();
 
         let shared = ctx.into_shared();
-        let w = shared.worker();
+        let w = worker(&shared);
         assert!(w.is_limited());
         w.charge_tuples("t", 20).unwrap();
         w.tick("t").unwrap();
-        assert_eq!(shared.tuples_remaining(), Some(50));
-
-        drop(w);
-        let back = shared.into_unshared();
-        assert_eq!(back.tuples_remaining(), Some(50));
-        assert_eq!(back.tuples_materialized(), 50);
-        assert_eq!(back.ticks(), 2);
-        assert_eq!(back.atoms_processed(), 1);
-        // The reconstructed serial context keeps enforcing the same budget…
-        assert!(back.charge_tuples("t", 50).is_ok());
-        let err = back.charge_tuples("t", 1).unwrap_err();
+        assert_eq!(w.tuples_remaining(), Some(50));
+        assert_eq!(w.tuples_materialized(), 50);
+        assert_eq!(w.ticks(), 2);
+        assert_eq!(w.atoms_processed(), 1);
+        // The envelope keeps enforcing the same budget…
+        assert!(w.charge_tuples("t", 50).is_ok());
+        let err = w.charge_tuples("t", 1).unwrap_err();
         assert!(matches!(
             err,
             EngineError::ResourceExhausted {
@@ -765,15 +775,67 @@ mod tests {
                 ..
             }
         ));
-        // …and the same depth limit.
-        assert!(back.recurse("t").is_ok());
+        // …and the same depth limit, per worker.
+        let _level = w.recurse("t").unwrap();
+        assert!(w.recurse("t").is_err());
+    }
+
+    #[test]
+    fn degree_one_pool_leaves_the_context_unshared() {
+        let ctx = ExecutionContext::new()
+            .with_tuple_budget(10)
+            .with_pool(&Pool::new(1));
+        assert!(ctx.shared.is_none() && ctx.pool.is_none());
+        assert_eq!(ctx.pool().threads(), 1);
+        // Fan-out loops inline on the context itself: `Cell` counters.
+        let seen = ctx
+            .try_run(&[1u64, 2, 3], |c, _, n| c.charge_tuples("t", *n))
+            .map(|v| v.len());
+        assert_eq!(seen, Ok(3));
+        assert_eq!(ctx.tuples_remaining.as_ref().map(Cell::get), Some(4));
+
+        let par = ExecutionContext::new()
+            .with_tuple_budget(10)
+            .with_pool(&Pool::new(4));
+        assert!(par.shared.is_some());
+        assert_eq!(par.pool().threads(), 4);
+        assert_eq!(par.tuples_remaining(), Some(10));
+    }
+
+    #[test]
+    fn degree_four_counters_equal_the_serial_ones_on_the_same_query() {
+        use pq_data::{tuple, Database};
+        let mut db = Database::new();
+        for (name, attrs) in [("P", ["c", "x"]), ("Q", ["c", "y"]), ("W", ["c", "z"])] {
+            let rows = (0..40i64).map(|i| tuple![i % 7, i]);
+            db.add_table(name, attrs, rows).unwrap();
+        }
+        db.add_table("H", ["c"], (0..5i64).map(|i| tuple![i]))
+            .unwrap();
+        // A star: three leaves under one hub, so every pass has a
+        // multi-node level that fans out at degree 4.
+        let q = pq_query::parse_cq("G(c, x) :- H(c), P(c, x), Q(c, y), W(c, z).").unwrap();
+        let counters = |ctx: ExecutionContext| {
+            let out = crate::yannakakis::evaluate_governed(&q, &db, &ctx).unwrap();
+            (
+                out,
+                ctx.ticks(),
+                ctx.atoms_processed(),
+                ctx.tuples_materialized(),
+                ctx.tuples_remaining(),
+            )
+        };
+        let budget = || ExecutionContext::new().with_tuple_budget(100_000);
+        let serial = counters(budget());
+        assert!(!serial.0.is_empty());
+        assert_eq!(serial, counters(budget().with_pool(&Pool::new(4))));
     }
 
     #[test]
     fn shared_budget_exhaustion_in_one_worker_stops_the_others() {
         let shared = ExecutionContext::new().with_tuple_budget(10).into_shared();
-        let w1 = shared.worker();
-        let w2 = shared.worker();
+        let w1 = worker(&shared);
+        let w2 = worker(&shared);
         w1.charge_tuples("t", 8).unwrap();
         assert!(w2.charge_tuples("t", 5).is_err(), "w2 overdraws");
         // Sticky zero: w1 is also out, even for a tiny charge.
@@ -785,7 +847,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(shared.tuples_remaining(), Some(0));
+        assert_eq!(w2.tuples_remaining(), Some(0));
     }
 
     #[test]
@@ -796,7 +858,7 @@ mod tests {
             .into_shared();
         token.cancel();
         for _ in 0..2 {
-            let w = shared.worker();
+            let w = worker(&shared);
             let mut tripped = None;
             for _ in 0..TICKS_PER_CLOCK_CHECK {
                 if let Err(e) = w.tick("t") {
@@ -820,7 +882,7 @@ mod tests {
         let shared = ExecutionContext::new()
             .with_tuple_budget(1000)
             .into_shared();
-        let w = shared.worker().with_cancellation(race.clone());
+        let w = worker(&shared).with_cancellation(race.clone());
         race.cancel();
         let mut tripped = None;
         for _ in 0..TICKS_PER_CLOCK_CHECK {
@@ -837,7 +899,7 @@ mod tests {
             })
         ));
         // The envelope itself is untouched: a fresh worker proceeds.
-        assert!(shared.worker().charge_tuples("t", 1).is_ok());
+        assert!(worker(&shared).charge_tuples("t", 1).is_ok());
     }
 
     #[test]
@@ -848,9 +910,9 @@ mod tests {
                 kind: ResourceKind::Timeout,
             })
             .into_shared();
-        assert!(shared.is_limited());
-        let w1 = shared.worker();
-        let w2 = shared.worker();
+        let w1 = worker(&shared);
+        let w2 = worker(&shared);
+        assert!(w1.is_limited());
         w1.tick("t").unwrap();
         w2.tick("t").unwrap();
         // Third global tick trips, whoever takes it.
@@ -865,7 +927,7 @@ mod tests {
         for _ in 0..10 {
             w2.tick("t").unwrap();
         }
-        assert!(!shared.is_limited());
+        assert!(!w1.is_limited());
     }
 
     #[test]

@@ -19,24 +19,20 @@
 //! A width-1 decomposition makes this engine coincide with Yannakakis; the
 //! planner still routes acyclic queries there directly and reserves this
 //! engine for the new Fig. 1 cell: cyclic, pure, hypertree width ≤
-//! [`DEFAULT_WIDTH_LIMIT`]. Parallel variants fan the independent bag
-//! materializations out over a [`Pool`] and reuse the level-scheduled
-//! semijoin sweeps, producing byte-identical output at any thread count.
+//! [`DEFAULT_WIDTH_LIMIT`]. The independent bag materializations fan out on
+//! the pool the context carries and the sweep is the Yannakakis engine's own
+//! level-scheduled one, so output is byte-identical at any thread count.
 
 use std::collections::BTreeSet;
 
 use pq_data::{Database, Relation, Tuple};
-use pq_exec::Pool;
 use pq_hypergraph::{decompose, Hypergraph, HypertreeDecomposition, JoinTree, DEFAULT_WIDTH_LIMIT};
-use pq_query::{ConjunctiveQuery, Term};
+use pq_query::ConjunctiveQuery;
 
 use crate::binding::head_attrs;
 use crate::error::{EngineError, Result};
-use crate::governor::{ExecutionContext, SharedContext};
-use crate::yannakakis::{
-    atom_relation_governed, parallel_atom_relations, parallel_downward_pass, parallel_output_join,
-    parallel_upward_pass, zj_vars,
-};
+use crate::governor::ExecutionContext;
+use crate::yannakakis::{atom_relations, reduce_and_join, upward_pass};
 
 /// Engine name reported in resource-exhaustion errors.
 const ENGINE: &str = "hypertree";
@@ -193,32 +189,6 @@ fn vacuous_output(q: &ConjunctiveQuery) -> Result<Relation> {
     Ok(out)
 }
 
-/// Project the reduced root onto the output variables and materialize the
-/// head terms — identical to the Yannakakis output step.
-fn project_head(
-    q: &ConjunctiveQuery,
-    root_rel: &Relation,
-    z: &[String],
-    ctx: &ExecutionContext,
-) -> Result<Relation> {
-    let z_refs: Vec<&str> = z.iter().map(String::as_str).collect();
-    let star = root_rel.project(&z_refs)?;
-    let mut out = Relation::new(head_attrs(&q.head_terms))?;
-    ctx.charge_tuples(ENGINE, star.len() as u64)?;
-    for t in star.iter() {
-        ctx.tick(ENGINE)?;
-        let vals = q.head_terms.iter().map(|term| match term {
-            Term::Const(c) => c.clone(),
-            Term::Var(v) => {
-                let pos = star.attr_pos(v).expect("head var in Z");
-                t[pos].clone()
-            }
-        });
-        out.insert(Tuple::new(vals))?;
-    }
-    Ok(out)
-}
-
 /// Materialize the decomposition's bags for `(q, db)`: the *bag hypergraph*
 /// (one edge per decomposition node, labelled by the bag's variables), the
 /// bag join tree, and the bag relations in node order.
@@ -240,36 +210,10 @@ pub fn materialize_bags_governed(
         ));
     }
     let plan = plan_bags(q, d)?;
-    let atom_rels: Vec<Relation> = q
-        .atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx))
-        .collect::<Result<_>>()?;
-    let rels: Vec<Relation> = (0..d.num_nodes())
-        .map(|i| materialize_bag(d, &plan, &atom_rels, i, ctx))
-        .collect::<Result<_>>()?;
-    Ok((plan.bags, plan.tree, rels))
-}
-
-/// [`materialize_bags_governed`] with parallel atom scans and bag joins (one
-/// task per bag, in node order); byte-identical output at any thread count.
-pub fn materialize_bags_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    d: &HypertreeDecomposition,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<(Hypergraph, JoinTree, Vec<Relation>)> {
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
-    let plan = plan_bags(q, d)?;
-    let atom_rels = parallel_atom_relations(q, db, shared, pool)?;
+    let atom_rels = atom_relations(q, db, ctx)?;
     let nodes: Vec<usize> = (0..d.num_nodes()).collect();
-    let rels: Vec<Relation> = pool.try_run(&nodes, |_, &i| {
-        materialize_bag(d, &plan, &atom_rels, i, &shared.worker())
+    let rels = ctx.try_run(&nodes, |ctx, _, &i| {
+        materialize_bag(d, &plan, &atom_rels, i, ctx)
     })?;
     Ok((plan.bags, plan.tree, rels))
 }
@@ -304,31 +248,8 @@ pub fn is_nonempty_decomposed(
     if q.atoms.is_empty() {
         return Ok(true);
     }
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
-    let plan = plan_bags(q, d)?;
-    let atom_rels: Vec<Relation> = q
-        .atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx))
-        .collect::<Result<_>>()?;
-    let mut rels: Vec<Relation> = (0..d.num_nodes())
-        .map(|i| materialize_bag(d, &plan, &atom_rels, i, ctx))
-        .collect::<Result<_>>()?;
-    for j in plan.tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        if rels[j].is_empty() {
-            return Ok(false);
-        }
-        if let Some(u) = plan.tree.parent(j) {
-            rels[u] = rels[u].semijoin(&rels[j]);
-            ctx.charge_tuples(ENGINE, rels[u].len() as u64)?;
-        }
-    }
-    Ok(!rels[plan.tree.root()].is_empty())
+    let (_bags, tree, mut rels) = materialize_bags_governed(q, db, d, ctx)?;
+    Ok(upward_pass(&tree, &mut rels, ctx, ENGINE)? && !rels[tree.root()].is_empty())
 }
 
 /// The decision problem: `t ∈ Q(d)`? Binding the head may change the
@@ -399,161 +320,8 @@ pub fn evaluate_decomposed(
     if q.atoms.is_empty() {
         return vacuous_output(q);
     }
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
-    let plan = plan_bags(q, d)?;
-    let atom_rels: Vec<Relation> = q
-        .atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx))
-        .collect::<Result<_>>()?;
-    let mut rels: Vec<Relation> = (0..d.num_nodes())
-        .map(|i| materialize_bag(d, &plan, &atom_rels, i, ctx))
-        .collect::<Result<_>>()?;
-
-    // Upward semijoin pass (full-reducer half 1) over the bag tree.
-    for j in plan.tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        if rels[j].is_empty() {
-            return Ok(Relation::new(head_attrs(&q.head_terms))?);
-        }
-        if let Some(u) = plan.tree.parent(j) {
-            rels[u] = rels[u].semijoin(&rels[j]);
-            ctx.charge_tuples(ENGINE, rels[u].len() as u64)?;
-        }
-    }
-
-    // Downward semijoin pass (full-reducer half 2).
-    for j in plan.tree.top_down() {
-        ctx.tick(ENGINE)?;
-        if let Some(u) = plan.tree.parent(j) {
-            rels[j] = rels[j].semijoin(&rels[u]);
-            ctx.charge_tuples(ENGINE, rels[j].len() as u64)?;
-        }
-    }
-
-    // Bottom-up join + project over the bag hypergraph.
-    let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-    for j in plan.tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        let Some(u) = plan.tree.parent(j) else {
-            continue;
-        };
-        let zj = zj_vars(&plan.bags, &plan.tree, j, u, &z);
-        let projected = rels[j].project_onto(&zj);
-        rels[u] = rels[u].natural_join(&projected)?;
-        ctx.charge_tuples(ENGINE, (projected.len() + rels[u].len()) as u64)?;
-        if rels[u].is_empty() {
-            return Ok(Relation::new(head_attrs(&q.head_terms))?);
-        }
-    }
-
-    project_head(q, &rels[plan.tree.root()], &z, ctx)
-}
-
-/// [`is_nonempty`] with parallel bag materialization and level-scheduled
-/// parallel semijoin sweeps; same answer as the serial engine at any thread
-/// count.
-pub fn is_nonempty_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    if q.atoms.is_empty() {
-        return Ok(true);
-    }
-    let d = prepare(q)?;
-    is_nonempty_decomposed_parallel(q, db, &d, shared, pool)
-}
-
-/// [`is_nonempty_parallel`] with a caller-supplied decomposition.
-pub fn is_nonempty_decomposed_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    d: &HypertreeDecomposition,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    if q.atoms.is_empty() {
-        return Ok(true);
-    }
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
-    let plan = plan_bags(q, d)?;
-    let atom_rels = parallel_atom_relations(q, db, shared, pool)?;
-    let nodes: Vec<usize> = (0..d.num_nodes()).collect();
-    let mut rels: Vec<Relation> = pool.try_run(&nodes, |_, &i| {
-        materialize_bag(d, &plan, &atom_rels, i, &shared.worker())
-    })?;
-    if !parallel_upward_pass(&plan.tree, &mut rels, shared, pool, ENGINE)? {
-        return Ok(false);
-    }
-    Ok(!rels[plan.tree.root()].is_empty())
-}
-
-/// [`evaluate`] with parallel bag materialization, parallel semijoin sweeps,
-/// and a parallel output-join phase. Byte-identical to the serial engine at
-/// any thread count: bags materialize independently (one task per node, in
-/// node order), and the tree passes reuse the deterministic level schedule
-/// of the Yannakakis engine.
-pub fn evaluate_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    check_safety(q)?;
-    if q.atoms.is_empty() {
-        return vacuous_output(q);
-    }
-    let d = prepare(q)?;
-    evaluate_decomposed_parallel(q, db, &d, shared, pool)
-}
-
-/// [`evaluate_parallel`] with a caller-supplied decomposition.
-pub fn evaluate_decomposed_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    d: &HypertreeDecomposition,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    check_safety(q)?;
-    if q.atoms.is_empty() {
-        return vacuous_output(q);
-    }
-    if !q.is_pure() {
-        return Err(EngineError::Unsupported(
-            "hypertree engine handles pure CQs; use the color-coding engine for ≠".into(),
-        ));
-    }
-    let plan = plan_bags(q, d)?;
-    let atom_rels = parallel_atom_relations(q, db, shared, pool)?;
-    let nodes: Vec<usize> = (0..d.num_nodes()).collect();
-    let mut rels: Vec<Relation> = pool.try_run(&nodes, |_, &i| {
-        materialize_bag(d, &plan, &atom_rels, i, &shared.worker())
-    })?;
-
-    if !parallel_upward_pass(&plan.tree, &mut rels, shared, pool, ENGINE)? {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-    if rels[plan.tree.root()].is_empty() {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-    parallel_downward_pass(&plan.tree, &mut rels, shared, pool, ENGINE)?;
-
-    let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-    if !parallel_output_join(&plan.bags, &plan.tree, &mut rels, &z, shared, pool, ENGINE)? {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-    project_head(q, &rels[plan.tree.root()], &z, &shared.worker())
+    let (bags, tree, mut rels) = materialize_bags_governed(q, db, d, ctx)?;
+    reduce_and_join(q, &bags, &tree, &mut rels, Default::default(), ctx, ENGINE)
 }
 
 #[cfg(test)]
@@ -706,12 +474,10 @@ mod tests {
         let db = triangle_db();
         let serial = evaluate(&q, &db).unwrap();
         for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            let shared = ExecutionContext::unlimited().into_shared();
-            let par = evaluate_parallel(&q, &db, &shared, &pool).unwrap();
+            let ctx = || ExecutionContext::unlimited().with_pool(&pq_exec::Pool::new(threads));
+            let par = evaluate_governed(&q, &db, &ctx()).unwrap();
             assert_eq!(serial, par, "threads={threads}");
-            let shared2 = ExecutionContext::unlimited().into_shared();
-            assert!(is_nonempty_parallel(&q, &db, &shared2, &pool).unwrap());
+            assert!(is_nonempty_governed(&q, &db, &ctx()).unwrap());
         }
     }
 

@@ -9,13 +9,14 @@
 
 use std::collections::BTreeSet;
 
+use std::ops::Range;
+
 use pq_data::{Database, Relation, Tuple, Value};
-use pq_exec::{Pool, Verdict};
 use pq_query::{CmpOp, ConjunctiveQuery, QueryError, Term};
 
 use crate::binding::{apply_term, bindings_to_output, Binding};
 use crate::error::{EngineError, Result};
-use crate::governor::{CancellationToken, ExecutionContext, SharedContext};
+use crate::governor::ExecutionContext;
 
 /// Engine name reported in resource-exhaustion errors.
 const ENGINE: &str = "naive";
@@ -28,18 +29,37 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
 }
 
 /// [`evaluate`] under the resource limits of `ctx`.
+///
+/// The search picks a first atom and scans its tuples in relation order,
+/// exploring one subtree per tuple; those subtrees are independent, so when
+/// `ctx` carries a pool the scan is split into contiguous chunks, each
+/// searched as one fan-out task, and the per-chunk bindings are concatenated
+/// in chunk order — reproducing the serial binding order (and therefore
+/// **identical output**) at any thread count.
 pub fn evaluate_governed(
     q: &ConjunctiveQuery,
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
     check_safety(q)?;
-    let mut bindings = Vec::new();
-    search(q, db, ctx, &mut |b| {
-        bindings.push(b.clone());
-        true // keep searching
+    let rels = resolve(q, db)?;
+    let Some((first, rows, chunks)) = first_atom_chunks(q, &rels, ctx) else {
+        let mut bindings = Vec::new();
+        search(q, &rels, ctx, &mut |b| {
+            bindings.push(b.clone());
+            true // keep searching
+        })?;
+        return bindings_to_output(q, bindings);
+    };
+    let parts: Vec<Vec<Binding>> = ctx.try_run(&chunks, |ctx, _, range| {
+        let mut local = Vec::new();
+        search_chunk(q, &rels, first, &rows[range.clone()], ctx, &mut |b| {
+            local.push(b.clone());
+            true
+        })?;
+        Ok::<_, EngineError>(local)
     })?;
-    bindings_to_output(q, bindings)
+    bindings_to_output(q, parts.concat())
 }
 
 /// Is `Q(d)` nonempty? Stops at the first satisfying instantiation.
@@ -47,19 +67,33 @@ pub fn is_nonempty(q: &ConjunctiveQuery, db: &Database) -> Result<bool> {
     is_nonempty_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`is_nonempty`] under the resource limits of `ctx`.
+/// [`is_nonempty`] under the resource limits of `ctx`. With a pool on `ctx`
+/// the first-atom chunks race ([`ExecutionContext::find_first`]): the first
+/// witness wins and cancels the remaining chunks.
 pub fn is_nonempty_governed(
     q: &ConjunctiveQuery,
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<bool> {
     // Emptiness does not require head safety (the head plays no role).
-    let mut found = false;
-    search(q, db, ctx, &mut |_| {
-        found = true;
-        false // stop
+    let rels = resolve(q, db)?;
+    let Some((first, rows, chunks)) = first_atom_chunks(q, &rels, ctx) else {
+        let mut found = false;
+        search(q, &rels, ctx, &mut |_| {
+            found = true;
+            false // stop
+        })?;
+        return Ok(found);
+    };
+    let hit = ctx.find_first(&chunks, |ctx, _, range| {
+        let mut found = false;
+        search_chunk(q, &rels, first, &rows[range.clone()], ctx, &mut |_| {
+            found = true;
+            false
+        })?;
+        Ok(found.then_some(()))
     })?;
-    Ok(found)
+    Ok(hit.is_some())
 }
 
 /// The decision problem of Section 3: is `t ∈ Q(d)`? Implemented exactly as
@@ -134,25 +168,19 @@ fn constraints_hold(q: &ConjunctiveQuery, b: &Binding) -> bool {
 /// satisfying binding; returning `false` stops the search.
 fn search(
     q: &ConjunctiveQuery,
-    db: &Database,
+    rels: &[&Relation],
     ctx: &ExecutionContext,
     visit: &mut impl FnMut(&Binding) -> bool,
 ) -> Result<()> {
-    // Resolve relations up front so missing tables error out deterministically.
-    let rels: Vec<&Relation> = q
-        .atoms
-        .iter()
-        .map(|a| db.relation(&a.relation))
-        .collect::<pq_data::Result<_>>()?;
     let mut binding = Binding::new();
     let mut used = vec![false; q.atoms.len()];
-    recurse(q, &rels, &mut used, &mut binding, ctx, visit)?;
+    recurse(q, rels, &mut used, &mut binding, ctx, visit)?;
     Ok(())
 }
 
 /// The greedy join-order rule: the unused atom with the most bound terms,
-/// ties broken by smaller relation. Factored out so the parallel fan-out
-/// ([`evaluate_parallel`]) provably forces the *same* first atom the serial
+/// ties broken by smaller relation. Factored out so the fan-out
+/// ([`first_atom_chunks`]) provably forces the *same* first atom the serial
 /// search would pick.
 fn pick_next(
     q: &ConjunctiveQuery,
@@ -274,7 +302,8 @@ fn search_chunk(
     Ok(())
 }
 
-/// Resolve the body relations (shared by serial and parallel drivers).
+/// Resolve the body relations up front so missing tables error out
+/// deterministically.
 fn resolve<'d>(q: &ConjunctiveQuery, db: &'d Database) -> Result<Vec<&'d Relation>> {
     Ok(q.atoms
         .iter()
@@ -282,104 +311,26 @@ fn resolve<'d>(q: &ConjunctiveQuery, db: &'d Database) -> Result<Vec<&'d Relatio
         .collect::<pq_data::Result<_>>()?)
 }
 
-/// Did this error come from a tripped cancellation token?
-pub(crate) fn is_cancellation(e: &EngineError) -> bool {
-    matches!(
-        e,
-        EngineError::ResourceExhausted {
-            kind: crate::governor::ResourceKind::Cancelled,
-            ..
-        }
-    )
-}
+/// A first atom, its tuples in scan order, and contiguous chunks of them.
+type FirstAtomChunks<'d> = (usize, Vec<&'d Tuple>, Vec<Range<usize>>);
 
-/// [`evaluate`] with first-atom partition fan-out on `pool`, charging the
-/// shared envelope `shared`.
-///
-/// The serial search picks a first atom and scans its tuples in relation
-/// order, exploring one subtree per tuple; those subtrees are independent,
-/// so this driver splits the scan into contiguous chunks, searches each
-/// chunk on a pool worker, and concatenates the per-chunk bindings in chunk
-/// order — reproducing the serial binding order (and therefore **identical
-/// output**) at any thread count.
-pub fn evaluate_parallel(
+/// The fan-out decomposition of the search when `ctx` carries a pool: the
+/// atom the serial search would pick first, split into chunks. `None` at
+/// degree 1 or with an empty body — the plain serial [`search`] is then the
+/// whole computation.
+fn first_atom_chunks<'d>(
     q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    check_safety(q)?;
-    let rels = resolve(q, db)?;
-    let first = pick_next(q, &rels, &vec![false; q.atoms.len()], &Binding::new());
-    let (Some(first), true) = (first, pool.threads() > 1) else {
-        // No atoms or a degree-1 pool: the serial search on a worker of the
-        // shared envelope is the same computation.
-        let ctx = shared.worker();
-        let mut bindings = Vec::new();
-        search(q, db, &ctx, &mut |b| {
-            bindings.push(b.clone());
-            true
-        })?;
-        return bindings_to_output(q, bindings);
-    };
+    rels: &[&'d Relation],
+    ctx: &ExecutionContext,
+) -> Option<FirstAtomChunks<'d>> {
+    let threads = ctx.pool().threads();
+    if threads <= 1 {
+        return None;
+    }
+    let first = pick_next(q, rels, &vec![false; q.atoms.len()], &Binding::new())?;
     let rows: Vec<&Tuple> = rels[first].iter().collect();
-    let chunks = pq_exec::morsels(rows.len(), pool.threads() * 4);
-    let parts: Vec<Vec<Binding>> = pool.try_run(&chunks, |_, range| {
-        let ctx = shared.worker();
-        let mut local = Vec::new();
-        search_chunk(q, &rels, first, &rows[range.clone()], &ctx, &mut |b| {
-            local.push(b.clone());
-            true
-        })?;
-        Ok::<_, EngineError>(local)
-    })?;
-    bindings_to_output(q, parts.concat())
-}
-
-/// [`is_nonempty`] with first-atom partition fan-out: chunks race, the first
-/// witness wins and cancels the remaining chunks via a race-scoped
-/// [`CancellationToken`].
-pub fn is_nonempty_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    let rels = resolve(q, db)?;
-    let first = pick_next(q, &rels, &vec![false; q.atoms.len()], &Binding::new());
-    let (Some(first), true) = (first, pool.threads() > 1) else {
-        let ctx = shared.worker();
-        let mut found = false;
-        search(q, db, &ctx, &mut |_| {
-            found = true;
-            false
-        })?;
-        return Ok(found);
-    };
-    let rows: Vec<&Tuple> = rels[first].iter().collect();
-    let chunks = pq_exec::morsels(rows.len(), pool.threads() * 4);
-    let race = CancellationToken::new();
-    let hit = pool.find_first(&chunks, |_, range| {
-        let ctx = shared.worker().with_cancellation(race.clone());
-        let mut found = false;
-        let r = search_chunk(q, &rels, first, &rows[range.clone()], &ctx, &mut |_| {
-            found = true;
-            false
-        });
-        match r {
-            Ok(()) if found => {
-                race.cancel();
-                Verdict::Hit(())
-            }
-            Ok(()) => Verdict::Miss,
-            // A chunk cancelled because the race was already won is not a
-            // failure; a cancellation from the *shared* envelope without a
-            // winner still surfaces as an abort below.
-            Err(e) if race.is_cancelled() && is_cancellation(&e) => Verdict::Retire,
-            Err(e) => Verdict::Abort(e),
-        }
-    })?;
-    Ok(hit.is_some())
+    let chunks = pq_exec::morsels(rows.len(), threads * 4);
+    Some((first, rows, chunks))
 }
 
 fn undo(binding: &mut Binding, vars: &[&str]) {

@@ -10,13 +10,14 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use std::ops::Range;
+
 use pq_data::{Database, Relation, Value};
-use pq_exec::{Pool, Verdict};
 use pq_query::{ConjunctiveQuery, QueryError, Term};
 
 use crate::binding::{apply_term, bindings_to_output, Binding};
 use crate::error::{EngineError, Result};
-use crate::governor::{CancellationToken, ExecutionContext, SharedContext};
+use crate::governor::ExecutionContext;
 
 /// Engine name reported in resource-exhaustion errors.
 const ENGINE: &str = "naive-indexed";
@@ -49,19 +50,34 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
     evaluate_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`evaluate`] under the resource limits of `ctx`.
+/// [`evaluate`] under the resource limits of `ctx`; with a pool on `ctx`,
+/// the same first-atom chunk fan-out as `naive::evaluate_governed`
+/// (identical output at any thread count: chunk outputs concatenate in scan
+/// order).
 pub fn evaluate_governed(
     q: &ConjunctiveQuery,
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
     check_safety(q)?;
-    let mut bindings = Vec::new();
-    search(q, db, ctx, &mut |b| {
-        bindings.push(b.clone());
-        true
+    let indexed = build_indexes(q, db)?;
+    let Some((first, rows, chunks)) = first_atom_chunks(q, &indexed, ctx) else {
+        let mut bindings = Vec::new();
+        search(q, &indexed, ctx, &mut |b| {
+            bindings.push(b.clone());
+            true
+        })?;
+        return bindings_to_output(q, bindings);
+    };
+    let parts: Vec<Vec<Binding>> = ctx.try_run(&chunks, |ctx, _, range| {
+        let mut local = Vec::new();
+        search_chunk(q, &indexed, first, &rows[range.clone()], ctx, &mut |b| {
+            local.push(b.clone());
+            true
+        })?;
+        Ok::<_, EngineError>(local)
     })?;
-    bindings_to_output(q, bindings)
+    bindings_to_output(q, parts.concat())
 }
 
 /// Emptiness with indexes.
@@ -69,18 +85,31 @@ pub fn is_nonempty(q: &ConjunctiveQuery, db: &Database) -> Result<bool> {
     is_nonempty_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`is_nonempty`] under the resource limits of `ctx`.
+/// [`is_nonempty`] under the resource limits of `ctx`; with a pool on `ctx`
+/// the chunks race and the first witness cancels the rest.
 pub fn is_nonempty_governed(
     q: &ConjunctiveQuery,
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<bool> {
-    let mut found = false;
-    search(q, db, ctx, &mut |_| {
-        found = true;
-        false
+    let indexed = build_indexes(q, db)?;
+    let Some((first, rows, chunks)) = first_atom_chunks(q, &indexed, ctx) else {
+        let mut found = false;
+        search(q, &indexed, ctx, &mut |_| {
+            found = true;
+            false
+        })?;
+        return Ok(found);
+    };
+    let hit = ctx.find_first(&chunks, |ctx, _, range| {
+        let mut found = false;
+        search_chunk(q, &indexed, first, &rows[range.clone()], ctx, &mut |_| {
+            found = true;
+            false
+        })?;
+        Ok(found.then_some(()))
     })?;
-    Ok(found)
+    Ok(hit.is_some())
 }
 
 fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
@@ -125,21 +154,25 @@ fn constraints_hold(q: &ConjunctiveQuery, b: &Binding) -> bool {
     true
 }
 
-fn search(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ctx: &ExecutionContext,
-    visit: &mut impl FnMut(&Binding) -> bool,
-) -> Result<()> {
+/// Resolve the body relations and index each one.
+fn build_indexes<'d>(q: &ConjunctiveQuery, db: &'d Database) -> Result<Vec<Indexed<'d>>> {
     let rels: Vec<&Relation> = q
         .atoms
         .iter()
         .map(|a| db.relation(&a.relation))
         .collect::<pq_data::Result<_>>()?;
-    let indexed: Vec<Indexed> = rels.iter().map(|r| Indexed::build(r)).collect();
+    Ok(rels.into_iter().map(Indexed::build).collect())
+}
+
+fn search(
+    q: &ConjunctiveQuery,
+    indexed: &[Indexed],
+    ctx: &ExecutionContext,
+    visit: &mut impl FnMut(&Binding) -> bool,
+) -> Result<()> {
     let mut used = vec![false; q.atoms.len()];
     let mut binding = Binding::new();
-    recurse(q, &indexed, &mut used, &mut binding, ctx, visit)?;
+    recurse(q, indexed, &mut used, &mut binding, ctx, visit)?;
     Ok(())
 }
 
@@ -152,7 +185,7 @@ fn bound_value<'b>(t: &'b Term, binding: &'b Binding) -> Option<&'b Value> {
 }
 
 /// The greedy join-order rule (most bound terms, ties by smaller relation),
-/// shared by the serial recursion and the parallel fan-out.
+/// shared by the recursion and the first-atom fan-out.
 fn pick_next(
     q: &ConjunctiveQuery,
     rels: &[Indexed],
@@ -261,8 +294,8 @@ fn recurse(
     Ok(true)
 }
 
-/// Search one contiguous chunk of the first atom's candidate rows (parallel
-/// fan-out worker body; see `naive::search_chunk`).
+/// Search one contiguous chunk of the first atom's candidate rows (fan-out
+/// task body; see `naive::search_chunk`).
 fn search_chunk(
     q: &ConjunctiveQuery,
     rels: &[Indexed],
@@ -285,90 +318,23 @@ fn search_chunk(
     Ok(())
 }
 
-/// [`evaluate`] with first-atom partition fan-out; identical output to the
-/// serial engine at any thread count (chunk outputs concatenate in scan
-/// order). Charges the shared envelope.
-pub fn evaluate_parallel(
+/// The fan-out decomposition when `ctx` carries a pool: the first atom the
+/// serial search would pick, its candidate rows, and contiguous chunks of
+/// them; `None` at degree 1 or with an empty body (see
+/// `naive::first_atom_chunks`).
+fn first_atom_chunks(
     q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    check_safety(q)?;
-    let base: Vec<&Relation> = q
-        .atoms
-        .iter()
-        .map(|a| db.relation(&a.relation))
-        .collect::<pq_data::Result<_>>()?;
-    let indexed: Vec<Indexed> = base.iter().map(|r| Indexed::build(r)).collect();
-    let first = pick_next(q, &indexed, &vec![false; q.atoms.len()], &Binding::new());
-    let (Some(first), true) = (first, pool.threads() > 1) else {
-        let ctx = shared.worker();
-        let mut bindings = Vec::new();
-        search(q, db, &ctx, &mut |b| {
-            bindings.push(b.clone());
-            true
-        })?;
-        return bindings_to_output(q, bindings);
-    };
-    let rows = candidate_rows(q, &indexed, first, &Binding::new());
-    let chunks = pq_exec::morsels(rows.len(), pool.threads() * 4);
-    let parts: Vec<Vec<Binding>> = pool.try_run(&chunks, |_, range| {
-        let ctx = shared.worker();
-        let mut local = Vec::new();
-        search_chunk(q, &indexed, first, &rows[range.clone()], &ctx, &mut |b| {
-            local.push(b.clone());
-            true
-        })?;
-        Ok::<_, EngineError>(local)
-    })?;
-    bindings_to_output(q, parts.concat())
-}
-
-/// [`is_nonempty`] with racing chunks; the first witness cancels the rest.
-pub fn is_nonempty_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    let base: Vec<&Relation> = q
-        .atoms
-        .iter()
-        .map(|a| db.relation(&a.relation))
-        .collect::<pq_data::Result<_>>()?;
-    let indexed: Vec<Indexed> = base.iter().map(|r| Indexed::build(r)).collect();
-    let first = pick_next(q, &indexed, &vec![false; q.atoms.len()], &Binding::new());
-    let (Some(first), true) = (first, pool.threads() > 1) else {
-        let ctx = shared.worker();
-        let mut found = false;
-        search(q, db, &ctx, &mut |_| {
-            found = true;
-            false
-        })?;
-        return Ok(found);
-    };
-    let rows = candidate_rows(q, &indexed, first, &Binding::new());
-    let chunks = pq_exec::morsels(rows.len(), pool.threads() * 4);
-    let race = CancellationToken::new();
-    let hit = pool.find_first(&chunks, |_, range| {
-        let ctx = shared.worker().with_cancellation(race.clone());
-        let mut found = false;
-        let r = search_chunk(q, &indexed, first, &rows[range.clone()], &ctx, &mut |_| {
-            found = true;
-            false
-        });
-        match r {
-            Ok(()) if found => {
-                race.cancel();
-                Verdict::Hit(())
-            }
-            Ok(()) => Verdict::Miss,
-            Err(e) if race.is_cancelled() && crate::naive::is_cancellation(&e) => Verdict::Retire,
-            Err(e) => Verdict::Abort(e),
-        }
-    })?;
-    Ok(hit.is_some())
+    indexed: &[Indexed],
+    ctx: &ExecutionContext,
+) -> Option<(usize, Vec<usize>, Vec<Range<usize>>)> {
+    let threads = ctx.pool().threads();
+    if threads <= 1 {
+        return None;
+    }
+    let first = pick_next(q, indexed, &vec![false; q.atoms.len()], &Binding::new())?;
+    let rows = candidate_rows(q, indexed, first, &Binding::new());
+    let chunks = pq_exec::morsels(rows.len(), threads * 4);
+    Some((first, rows, chunks))
 }
 
 fn undo(binding: &mut Binding, vars: &[&str]) {

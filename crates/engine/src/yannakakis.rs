@@ -10,13 +10,12 @@
 use std::collections::BTreeSet;
 
 use pq_data::{Database, Relation, Tuple};
-use pq_exec::Pool;
 use pq_hypergraph::{join_tree, Hypergraph, JoinTree};
 use pq_query::{Atom, ConjunctiveQuery, Term};
 
 use crate::binding::head_attrs;
 use crate::error::{EngineError, Result};
-use crate::governor::{ExecutionContext, SharedContext};
+use crate::governor::ExecutionContext;
 
 /// Engine name reported in resource-exhaustion errors.
 const ENGINE: &str = "yannakakis";
@@ -114,13 +113,24 @@ fn prepare(q: &ConjunctiveQuery) -> Result<(Hypergraph, JoinTree)> {
     Ok((hg, tree))
 }
 
+/// The per-atom relations `S_j` of the query, in atom order; one fan-out
+/// task per atom.
+pub fn atom_relations(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    ctx: &ExecutionContext,
+) -> Result<Vec<Relation>> {
+    ctx.try_run(&q.atoms, |ctx, _, a| atom_relation_governed(a, db, ctx))
+}
+
 /// Emptiness: one bottom-up semijoin pass. `O(n log n)` per join level;
 /// polynomial in the input alone.
 pub fn is_nonempty(q: &ConjunctiveQuery, db: &Database) -> Result<bool> {
     is_nonempty_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`is_nonempty`] under the resource limits of `ctx`.
+/// [`is_nonempty`] under the resource limits of `ctx`, at the degree of the
+/// pool `ctx` carries (same answer and same budget charges at any degree).
 pub fn is_nonempty_governed(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -130,22 +140,8 @@ pub fn is_nonempty_governed(
         return Ok(true); // vacuous body
     }
     let (_hg, tree) = prepare(q)?;
-    let mut rels: Vec<Relation> = q
-        .atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx))
-        .collect::<Result<_>>()?;
-    for j in tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        if rels[j].is_empty() {
-            return Ok(false);
-        }
-        if let Some(u) = tree.parent(j) {
-            rels[u] = rels[u].semijoin(&rels[j]);
-            ctx.charge_tuples(ENGINE, rels[u].len() as u64)?;
-        }
-    }
-    Ok(!rels[tree.root()].is_empty())
+    let mut rels = atom_relations(q, db, ctx)?;
+    Ok(upward_pass(&tree, &mut rels, ctx, ENGINE)? && !rels[tree.root()].is_empty())
 }
 
 /// The decision problem: `t ∈ Q(d)`?
@@ -204,7 +200,10 @@ pub fn evaluate_with_options(
 /// [`evaluate_with_options`] under the resource limits of `ctx`: semijoin
 /// passes tick per tree node and charge every intermediate relation they
 /// rebuild, so runaway join phases stop at the budget instead of exhausting
-/// memory.
+/// memory. The passes fan out on the pool `ctx` carries and produce the same
+/// relation at any degree: the level schedule is a valid bottom-up order,
+/// each parent applies its children in child order, and single-parent
+/// levels use the deterministic data-parallel kernels.
 pub fn evaluate_with_options_governed(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -228,59 +227,48 @@ pub fn evaluate_with_options_governed(
     }
 
     let (hg, tree) = prepare(q)?;
-    let mut rels: Vec<Relation> = q
-        .atoms
-        .iter()
-        .map(|a| atom_relation_governed(a, db, ctx))
-        .collect::<Result<_>>()?;
+    let mut rels = atom_relations(q, db, ctx)?;
+    reduce_and_join(q, &hg, &tree, &mut rels, opts, ctx, ENGINE)
+}
+
+/// Section 5's algorithm after the per-node relations exist: upward
+/// semijoins, downward semijoins, bottom-up join-and-project, head
+/// projection. `hg`'s edges are the nodes of `tree` — the query hypergraph
+/// and its join tree here, the bag hypergraph and the decomposition tree in
+/// the hypertree engine, which names itself in exhaustion errors via
+/// `engine`.
+pub(crate) fn reduce_and_join(
+    q: &ConjunctiveQuery,
+    hg: &Hypergraph,
+    tree: &JoinTree,
+    rels: &mut [Relation],
+    opts: EvalOptions,
+    ctx: &ExecutionContext,
+    engine: &'static str,
+) -> Result<Relation> {
+    let empty = || Ok(Relation::new(head_attrs(&q.head_terms))?);
 
     // Upward semijoin pass (full-reducer half 1).
-    for j in tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        if rels[j].is_empty() {
-            return Ok(Relation::new(head_attrs(&q.head_terms))?);
-        }
-        if let Some(u) = tree.parent(j) {
-            rels[u] = rels[u].semijoin(&rels[j]);
-            ctx.charge_tuples(ENGINE, rels[u].len() as u64)?;
-        }
+    if !upward_pass(tree, rels, ctx, engine)? || rels[tree.root()].is_empty() {
+        return empty();
     }
-
     // Downward semijoin pass (full-reducer half 2) — removes dangling tuples.
     if opts.downward_pass {
-        for j in tree.top_down() {
-            ctx.tick(ENGINE)?;
-            if let Some(u) = tree.parent(j) {
-                rels[j] = rels[j].semijoin(&rels[u]);
-                ctx.charge_tuples(ENGINE, rels[j].len() as u64)?;
-            }
-        }
+        downward_pass(tree, rels, ctx, engine)?;
     }
-
-    // Output variables Z.
+    // Bottom-up join + project onto the output variables Z.
     let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-
-    // Bottom-up join + project: P_u := P_u ⋈ π_{Z_j}(P_j) with
-    // Z_j = (U_j ∩ U_u) ∪ (Z ∩ at(T[j])).
-    for j in tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        let Some(u) = tree.parent(j) else { continue };
-        let zj = zj_vars(&hg, &tree, j, u, &z);
-        let projected = rels[j].project_onto(&zj);
-        rels[u] = rels[u].natural_join(&projected)?;
-        ctx.charge_tuples(ENGINE, (projected.len() + rels[u].len()) as u64)?;
-        if rels[u].is_empty() {
-            return Ok(Relation::new(head_attrs(&q.head_terms))?);
-        }
+    if !output_join(hg, tree, rels, &z, ctx, engine)? {
+        return empty();
     }
 
     // Project the root onto Z and materialize the head terms.
     let z_refs: Vec<&str> = z.iter().map(String::as_str).collect();
     let star = rels[tree.root()].project(&z_refs)?;
     let mut out = Relation::new(head_attrs(&q.head_terms))?;
-    ctx.charge_tuples(ENGINE, star.len() as u64)?;
+    ctx.charge_tuples(engine, star.len() as u64)?;
     for t in star.iter() {
-        ctx.tick(ENGINE)?;
+        ctx.tick(engine)?;
         let vals = q.head_terms.iter().map(|term| match term {
             Term::Const(c) => c.clone(),
             Term::Var(v) => {
@@ -296,14 +284,8 @@ pub fn evaluate_with_options_governed(
 /// Variables `Z_j = (U_j ∩ U_u) ∪ (Z ∩ at(T[j]))` kept when the subtree
 /// rooted at `j` is joined into its parent `u` (Section 5's output join).
 /// Shared with the hypertree engine, which runs the same output join over
-/// its bag hypergraph.
-pub(crate) fn zj_vars(
-    hg: &Hypergraph,
-    tree: &JoinTree,
-    j: usize,
-    u: usize,
-    z: &[String],
-) -> Vec<String> {
+/// its bag hypergraph, and with the counting sweep in `pq-count`.
+pub fn zj_vars(hg: &Hypergraph, tree: &JoinTree, j: usize, u: usize, z: &[String]) -> Vec<String> {
     let u_j: BTreeSet<&str> = hg.edge(j).iter().map(|&v| hg.label(v)).collect();
     let u_u: BTreeSet<&str> = hg.edge(u).iter().map(|&v| hg.label(v)).collect();
     let subtree: BTreeSet<&str> = tree
@@ -327,8 +309,9 @@ pub(crate) fn zj_vars(
 /// levels follow. Processing levels deepest-first is a valid bottom-up
 /// schedule (every node's children are reduced one level earlier), and all
 /// semijoins *within* one level touch distinct parents, so they can run
-/// concurrently; that is the schedule the parallel passes below use.
-pub(crate) fn levels(tree: &JoinTree) -> Vec<Vec<usize>> {
+/// concurrently; that is the schedule the passes below (and the counting
+/// sweep in `pq-count`) use.
+pub fn levels(tree: &JoinTree) -> Vec<Vec<usize>> {
     let mut depth = vec![0usize; tree.num_nodes()];
     for j in tree.top_down() {
         if let Some(u) = tree.parent(j) {
@@ -343,66 +326,54 @@ pub(crate) fn levels(tree: &JoinTree) -> Vec<Vec<usize>> {
     lv
 }
 
-/// Per-atom relations computed by parallel workers charging one shared
-/// envelope. Output is positionally identical to the serial loop.
-pub(crate) fn parallel_atom_relations(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Vec<Relation>> {
-    pool.try_run(&q.atoms, |_, a| {
-        atom_relation_governed(a, db, &shared.worker())
-    })
+/// The nodes of level `d - 1` that have children (all of which sit on level
+/// `d`): the units of work of one bottom-up step.
+fn parents_above(tree: &JoinTree, lv: &[Vec<usize>], d: usize) -> Vec<usize> {
+    lv[d - 1]
+        .iter()
+        .copied()
+        .filter(|&u| !tree.children(u).is_empty())
+        .collect()
 }
 
 /// Bottom-up semijoin pass scheduled level-by-level: every parent of a level
-/// reduces concurrently, applying its children in child order (the same
-/// order the serial post-order visits them, so intermediate relations — and
-/// hence budget charges — are identical). Returns `false` as soon as a
-/// non-root relation empties. A level with a single parent (e.g. every level
-/// of a chain query) instead runs the data-parallel semijoin kernel, which
-/// is byte-identical to the serial one. Shared with the hypertree engine
-/// (which sweeps its bag tree), so exhaustion errors name the caller via
-/// `engine`.
-pub(crate) fn parallel_upward_pass(
+/// reduces as one fan-out task, applying its children in child order, so
+/// intermediate relations — and hence budget charges — are the same at any
+/// degree. Returns `false` as soon as a non-root relation is found empty. A
+/// level with a single parent (e.g. every level of a chain query) instead
+/// runs the data-parallel semijoin kernel, which is byte-identical to the
+/// serial one.
+pub(crate) fn upward_pass(
     tree: &JoinTree,
     rels: &mut [Relation],
-    shared: &SharedContext,
-    pool: &Pool,
+    ctx: &ExecutionContext,
     engine: &'static str,
 ) -> Result<bool> {
     let lv = levels(tree);
     for d in (1..lv.len()).rev() {
-        let parents: Vec<usize> = lv[d - 1]
-            .iter()
-            .copied()
-            .filter(|&u| !tree.children(u).is_empty())
-            .collect();
-        if parents.len() == 1 {
-            let u = parents[0];
-            let ctx = shared.worker();
+        let parents = parents_above(tree, &lv, d);
+        if let [u] = parents[..] {
             for &j in tree.children(u) {
                 ctx.tick(engine)?;
                 if rels[j].is_empty() {
                     return Ok(false);
                 }
-                rels[u] = rels[u].par_semijoin(&rels[j], pool);
+                rels[u] = rels[u].par_semijoin(&rels[j], ctx.pool());
                 ctx.charge_tuples(engine, rels[u].len() as u64)?;
             }
         } else {
             let snapshot: &[Relation] = rels;
-            let reduced: Vec<(Relation, bool)> = pool.try_run(&parents, |_, &u| {
-                let ctx = shared.worker();
-                let mut cur = snapshot[u].clone();
+            let reduced: Vec<(Relation, bool)> = ctx.try_run(&parents, |ctx, _, &u| {
+                let mut cur: Option<Relation> = None;
                 let mut dead = false;
                 for &j in tree.children(u) {
                     ctx.tick(engine)?;
                     dead |= snapshot[j].is_empty();
-                    cur = cur.semijoin(&snapshot[j]);
-                    ctx.charge_tuples(engine, cur.len() as u64)?;
+                    let next = cur.as_ref().unwrap_or(&snapshot[u]).semijoin(&snapshot[j]);
+                    ctx.charge_tuples(engine, next.len() as u64)?;
+                    cur = Some(next);
                 }
-                Ok::<_, EngineError>((cur, dead))
+                Ok::<_, EngineError>((cur.expect("parents have children"), dead))
             })?;
             let mut any_dead = false;
             for (&u, (cur, dead)) in parents.iter().zip(reduced) {
@@ -418,28 +389,23 @@ pub(crate) fn parallel_upward_pass(
 }
 
 /// Top-down semijoin pass, level-by-level: every node of a level reads only
-/// its (already-reduced) parent one level up, so a whole level runs
-/// concurrently. Shared with the hypertree engine.
-pub(crate) fn parallel_downward_pass(
+/// its (already-reduced) parent one level up, so a whole level fans out.
+fn downward_pass(
     tree: &JoinTree,
     rels: &mut [Relation],
-    shared: &SharedContext,
-    pool: &Pool,
+    ctx: &ExecutionContext,
     engine: &'static str,
 ) -> Result<()> {
     let lv = levels(tree);
     for nodes in lv.iter().skip(1) {
-        if nodes.len() == 1 {
-            let j = nodes[0];
+        if let [j] = nodes[..] {
             let u = tree.parent(j).expect("non-root level");
-            let ctx = shared.worker();
             ctx.tick(engine)?;
-            rels[j] = rels[j].par_semijoin(&rels[u], pool);
+            rels[j] = rels[j].par_semijoin(&rels[u], ctx.pool());
             ctx.charge_tuples(engine, rels[j].len() as u64)?;
         } else {
             let snapshot: &[Relation] = rels;
-            let reduced: Vec<Relation> = pool.try_run(nodes, |_, &j| {
-                let ctx = shared.worker();
+            let reduced: Vec<Relation> = ctx.try_run(nodes, |ctx, _, &j| {
                 let u = tree.parent(j).expect("non-root level");
                 ctx.tick(engine)?;
                 let out = snapshot[j].semijoin(&snapshot[u]);
@@ -454,70 +420,43 @@ pub(crate) fn parallel_downward_pass(
     Ok(())
 }
 
-/// [`is_nonempty`] with per-level parallel semijoin sweeps on `pool`, all
-/// workers charging the shared envelope. Same answer (and same budget
-/// charges) as the serial engine at any thread count.
-pub fn is_nonempty_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<bool> {
-    if q.atoms.is_empty() {
-        return Ok(true); // vacuous body
-    }
-    let (_hg, tree) = prepare(q)?;
-    let mut rels = parallel_atom_relations(q, db, shared, pool)?;
-    if !parallel_upward_pass(&tree, &mut rels, shared, pool, ENGINE)? {
-        return Ok(false);
-    }
-    Ok(!rels[tree.root()].is_empty())
-}
-
-/// Bottom-up join + project phase scheduled level-by-level (levels join into
-/// distinct parents concurrently). Returns `false` as soon as an
-/// intermediate relation empties — the caller's output is empty. Shared with
-/// the hypertree engine, which runs the identical phase over its bag
-/// hypergraph and bag tree.
-pub(crate) fn parallel_output_join(
+/// Bottom-up join + project phase: `P_u := P_u ⋈ π_{Z_j}(P_j)` with
+/// `Z_j` from [`zj_vars`], scheduled level-by-level like [`upward_pass`]
+/// (levels join into distinct parents concurrently). Returns `false` as
+/// soon as an intermediate relation empties — the caller's output is empty.
+fn output_join(
     hg: &Hypergraph,
     tree: &JoinTree,
     rels: &mut [Relation],
     z: &[String],
-    shared: &SharedContext,
-    pool: &Pool,
+    ctx: &ExecutionContext,
     engine: &'static str,
 ) -> Result<bool> {
     let lv = levels(tree);
     for d in (1..lv.len()).rev() {
-        let parents: Vec<usize> = lv[d - 1]
-            .iter()
-            .copied()
-            .filter(|&u| !tree.children(u).is_empty())
-            .collect();
-        if parents.len() == 1 {
-            let u = parents[0];
-            let ctx = shared.worker();
+        let parents = parents_above(tree, &lv, d);
+        if let [u] = parents[..] {
             for &j in tree.children(u) {
                 ctx.tick(engine)?;
-                let zj = zj_vars(hg, tree, j, u, z);
-                let projected = rels[j].project_onto(&zj);
-                rels[u] = rels[u].par_natural_join(&projected, pool)?;
+                let projected = rels[j].project_onto(&zj_vars(hg, tree, j, u, z));
+                rels[u] = rels[u].par_natural_join(&projected, ctx.pool())?;
                 ctx.charge_tuples(engine, (projected.len() + rels[u].len()) as u64)?;
             }
         } else {
             let snapshot: &[Relation] = rels;
-            let joined: Vec<Relation> = pool.try_run(&parents, |_, &u| {
-                let ctx = shared.worker();
-                let mut cur = snapshot[u].clone();
+            let joined: Vec<Relation> = ctx.try_run(&parents, |ctx, _, &u| {
+                let mut cur: Option<Relation> = None;
                 for &j in tree.children(u) {
                     ctx.tick(engine)?;
-                    let zj = zj_vars(hg, tree, j, u, z);
-                    let projected = snapshot[j].project_onto(&zj);
-                    cur = cur.natural_join(&projected)?;
-                    ctx.charge_tuples(engine, (projected.len() + cur.len()) as u64)?;
+                    let projected = snapshot[j].project_onto(&zj_vars(hg, tree, j, u, z));
+                    let next = cur
+                        .as_ref()
+                        .unwrap_or(&snapshot[u])
+                        .natural_join(&projected)?;
+                    ctx.charge_tuples(engine, (projected.len() + next.len()) as u64)?;
+                    cur = Some(next);
                 }
-                Ok::<_, EngineError>(cur)
+                Ok::<_, EngineError>(cur.expect("parents have children"))
             })?;
             for (&u, cur) in parents.iter().zip(joined) {
                 rels[u] = cur;
@@ -528,77 +467,6 @@ pub(crate) fn parallel_output_join(
         }
     }
     Ok(true)
-}
-
-/// [`evaluate_with_options`] with per-level parallel semijoin sweeps and a
-/// per-level parallel output-join phase. Produces the same relation as the
-/// serial engine at any thread count: the level schedule is a valid
-/// bottom-up order, each parent applies its children in the serial child
-/// order, and single-parent levels use the deterministic data-parallel
-/// kernels.
-pub fn evaluate_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    opts: EvalOptions,
-    shared: &SharedContext,
-    pool: &Pool,
-) -> Result<Relation> {
-    // Safety: head variables must occur in the body.
-    let body_vars: BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body_vars.contains(v) {
-            return Err(EngineError::Query(
-                pq_query::QueryError::UnsafeHeadVariable(v.to_string()),
-            ));
-        }
-    }
-    if q.atoms.is_empty() {
-        let mut out = Relation::new(head_attrs(&q.head_terms))?;
-        out.insert(Tuple::default())?;
-        return Ok(out);
-    }
-
-    let (hg, tree) = prepare(q)?;
-    let mut rels = parallel_atom_relations(q, db, shared, pool)?;
-
-    // Upward semijoin pass (full-reducer half 1).
-    if !parallel_upward_pass(&tree, &mut rels, shared, pool, ENGINE)? {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-    if rels[tree.root()].is_empty() {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-
-    // Downward semijoin pass (full-reducer half 2).
-    if opts.downward_pass {
-        parallel_downward_pass(&tree, &mut rels, shared, pool, ENGINE)?;
-    }
-
-    // Bottom-up join + project, level-by-level; levels join into distinct
-    // parents concurrently.
-    let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-    if !parallel_output_join(&hg, &tree, &mut rels, &z, shared, pool, ENGINE)? {
-        return Ok(Relation::new(head_attrs(&q.head_terms))?);
-    }
-
-    // Project the root onto Z and materialize the head terms.
-    let ctx = shared.worker();
-    let z_refs: Vec<&str> = z.iter().map(String::as_str).collect();
-    let star = rels[tree.root()].project(&z_refs)?;
-    let mut out = Relation::new(head_attrs(&q.head_terms))?;
-    ctx.charge_tuples(ENGINE, star.len() as u64)?;
-    for t in star.iter() {
-        ctx.tick(ENGINE)?;
-        let vals = q.head_terms.iter().map(|term| match term {
-            Term::Const(c) => c.clone(),
-            Term::Var(v) => {
-                let pos = star.attr_pos(v).expect("head var in Z");
-                t[pos].clone()
-            }
-        });
-        out.insert(Tuple::new(vals))?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -744,6 +612,28 @@ mod tests {
             atom_relation(&a, &db),
             Err(EngineError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn levels_group_by_depth() {
+        // 1 -> 0 <- 2, 3 -> 1  (root 0)
+        let t = JoinTree::from_parents(vec![None, Some(0), Some(0), Some(1)]);
+        assert_eq!(levels(&t), vec![vec![0], vec![1, 2], vec![3]]);
+    }
+
+    #[test]
+    fn zj_vars_track_connecting_and_z_vars() {
+        let hg = Hypergraph::from_edges([vec!["x", "y"], vec!["y", "z"], vec!["z", "w"]]);
+        // path 0 -> 1 -> 2, root 2
+        let t = JoinTree::from_parents(vec![Some(1), Some(2), None]);
+        // No tracked vars: just the connector.
+        assert_eq!(zj_vars(&hg, &t, 0, 1, &[]), vec!["y".to_string()]);
+        // Tracking x keeps it through the join even though the parent
+        // lacks it.
+        assert_eq!(
+            zj_vars(&hg, &t, 0, 1, &["x".to_string()]),
+            vec!["y".to_string(), "x".to_string()]
+        );
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub struct ServiceConfig {
     /// Worker threads evaluating admitted jobs (inter-query parallelism).
     pub workers: usize,
     /// Intra-query parallelism degree: the size of the [`Pool`] each worker
-    /// hands to the engines' parallel paths. `1` keeps evaluation fully
+    /// attaches to a request's execution context. `1` keeps evaluation fully
     /// serial (the pre-parallel behavior). Independent of [`workers`]:
     /// `workers` bounds how many queries run at once, this bounds how many
     /// threads each of them may use. Their product is capped by
@@ -1827,34 +1827,33 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, inner: &Inner) {
             Err(_) => return,
         };
         let Ok(job) = job else { return };
-        // Intra-query parallel path: when both the service knob and the
-        // plan's recommended degree exceed 1, move the request limits into a
-        // shared envelope and fan the evaluation out on the exec pool. The
-        // engines' parallel paths produce the same relation (or the same
-        // exact count) as the serial ones at any degree, so this choice is
-        // invisible to the caller (except in STATS).
+        // Intra-query fan-out: when both the service knob and the plan's
+        // recommended degree exceed 1, the request's context carries the
+        // exec pool (which moves its limits into a shared envelope). The
+        // engines produce the same relation (or the same exact count) at any
+        // degree, so this choice is invisible to the caller (except in
+        // STATS).
+        let parallelism = match &job.work {
+            JobWork::Evaluate(planned) => planned.plan.parallelism,
+            JobWork::Count(planned, _) => planned.plan.parallelism,
+        };
+        let ctx = if inner.exec.threads() > 1 && parallelism > 1 {
+            ServiceMetrics::bump(&inner.metrics.parallel_queries);
+            job.ctx.with_pool(&inner.exec)
+        } else {
+            job.ctx
+        };
+        let db = &job.snapshot.db;
         let out = match &job.work {
             JobWork::Evaluate(planned) => {
-                let parallel = inner.exec.threads() > 1 && planned.plan.parallelism > 1;
                 if let EngineChoice::Hypertree(d) = &planned.plan.choice {
                     inner.metrics.record_hypertree_width(d.width());
                 }
-                let out = if parallel {
-                    ServiceMetrics::bump(&inner.metrics.parallel_queries);
-                    let shared = job.ctx.into_shared();
-                    planned.plan.execute_parallel(
-                        &planned.query,
-                        &job.snapshot.db,
-                        &shared,
-                        &inner.exec,
-                    )
-                } else {
-                    planned
-                        .plan
-                        .execute_governed(&planned.query, &job.snapshot.db, &job.ctx)
-                }
-                .map(Arc::new)
-                .map_err(ServiceError::from);
+                let out = planned
+                    .plan
+                    .execute_governed(&planned.query, db, &ctx)
+                    .map(Arc::new)
+                    .map_err(ServiceError::from);
                 if let Ok(rows) = &out {
                     let key = result_key(planned, &job.snapshot);
                     inner.result_cache.insert(key, Arc::clone(rows));
@@ -1862,46 +1861,18 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, inner: &Inner) {
                 out
             }
             JobWork::Count(planned, mode) => {
-                let parallel = inner.exec.threads() > 1 && planned.plan.parallelism > 1;
                 if let CountChoice::Hypertree(d) = &planned.plan.choice {
                     inner.metrics.record_hypertree_width(d.width());
                 }
-                if parallel {
-                    ServiceMetrics::bump(&inner.metrics.parallel_queries);
-                }
                 let out = match mode {
-                    CountMode::Total => if parallel {
-                        let shared = job.ctx.into_shared();
-                        planned.plan.execute_parallel(
-                            &planned.query,
-                            &job.snapshot.db,
-                            &shared,
-                            &inner.exec,
-                        )
-                    } else {
-                        planned
-                            .plan
-                            .execute_governed(&planned.query, &job.snapshot.db, &job.ctx)
-                    }
-                    .and_then(|c| count_relation(&c)),
-                    CountMode::Grouped(groups) => if parallel {
-                        let shared = job.ctx.into_shared();
-                        planned.plan.execute_by_parallel(
-                            &planned.query,
-                            &job.snapshot.db,
-                            groups,
-                            &shared,
-                            &inner.exec,
-                        )
-                    } else {
-                        planned.plan.execute_by_governed(
-                            &planned.query,
-                            &job.snapshot.db,
-                            groups,
-                            &job.ctx,
-                        )
-                    }
-                    .and_then(|counted| counted.to_relation("count")),
+                    CountMode::Total => planned
+                        .plan
+                        .execute_governed(&planned.query, db, &ctx)
+                        .and_then(|c| count_relation(&c)),
+                    CountMode::Grouped(groups) => planned
+                        .plan
+                        .execute_by_governed(&planned.query, db, groups, &ctx)
+                        .and_then(|counted| counted.to_relation("count")),
                 }
                 .map(Arc::new)
                 .map_err(ServiceError::from);

@@ -242,10 +242,9 @@ proptest! {
         // Parallel, both strategies, at 1 and 4 threads.
         for strategy in [FixpointStrategy::Naive, FixpointStrategy::SemiNaive] {
             for threads in [1usize, 4] {
-                let pool = Pool::new(threads);
-                let shared = ExecutionContext::unlimited().into_shared();
+                let ctx = ExecutionContext::new().with_pool(&Pool::new(threads));
                 let (got, _) =
-                    datalog_eval::evaluate_with_stats_parallel(effective, &db, strategy, &shared, &pool)
+                    datalog_eval::evaluate_with_stats_governed(effective, &db, strategy, &ctx)
                         .unwrap();
                 prop_assert_eq!(got.canonical_rows(), baseline.canonical_rows());
             }
@@ -265,9 +264,8 @@ proptest! {
             Ok(serial) => {
                 prop_assert_eq!(&serial, &naive::evaluate(&q, &db).unwrap());
                 for threads in [1usize, 4] {
-                    let pool = Pool::new(threads);
-                    let shared = ExecutionContext::unlimited().into_shared();
-                    let par = hypertree::evaluate_parallel(&q, &db, &shared, &pool).unwrap();
+                    let ctx = ExecutionContext::new().with_pool(&Pool::new(threads));
+                    let par = hypertree::evaluate_governed(&q, &db, &ctx).unwrap();
                     prop_assert!(par == serial, "differs at {} threads", threads);
                 }
             }
@@ -336,9 +334,8 @@ proptest! {
                 Err(e) => prop_assert!(false, "hypertree failed: {}", e),
                 Ok(_) => {
                     for threads in [1usize, 4] {
-                        let pool = Pool::new(threads);
-                        let shared = ExecutionContext::unlimited().into_shared();
-                        let par = hypertree::evaluate_parallel(&q, &db, &shared, &pool).unwrap();
+                        let ctx = ExecutionContext::new().with_pool(&Pool::new(threads));
+                        let par = hypertree::evaluate_governed(&q, &db, &ctx).unwrap();
                         prop_assert!(
                             par == projected,
                             "view-scan differs from parallel evaluation at {} threads",

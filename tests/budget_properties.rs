@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use pq_core::evaluate_with_fallback;
+use pq_core::{evaluate_with_fallback, plan, PlannerOptions};
 use pq_data::{tuple, Database, Relation};
 use pq_engine::governor::ExecutionContext;
 use pq_engine::{naive, yannakakis, EngineError};
@@ -74,19 +74,31 @@ proptest! {
     }
 
     /// Any budget, however tiny, yields either the exact answer or a
-    /// structured `ResourceExhausted` — never a wrong (truncated) relation.
+    /// structured `ResourceExhausted` — never a wrong (truncated) relation,
+    /// and never a wrong emptiness verdict from the planned engine.
     #[test]
     fn any_budget_is_exact_or_exhausted(spec in arb_chain(4), budget in 0u64..40) {
         let (q, db) = build_chain(&spec);
+        let oracle = naive::evaluate(&q, &db).unwrap();
         let ctx = ExecutionContext::new().with_tuple_budget(budget);
         match evaluate_with_fallback(&q, &db, &ctx) {
             Ok(out) => {
-                prop_assert_eq!(out.result, naive::evaluate(&q, &db).unwrap());
+                prop_assert_eq!(out.result, oracle.clone());
             }
             Err(e) => {
                 prop_assert!(
                     e.is_resource_exhausted(),
                     "budgeted run may only fail with ResourceExhausted, got {e:?}"
+                );
+            }
+        }
+        let ctx = ExecutionContext::new().with_tuple_budget(budget);
+        match plan(&q, &PlannerOptions::default()).is_nonempty_governed(&q, &db, &ctx) {
+            Ok(nonempty) => prop_assert_eq!(nonempty, !oracle.is_empty()),
+            Err(e) => {
+                prop_assert!(
+                    e.is_resource_exhausted(),
+                    "budgeted emptiness may only fail with ResourceExhausted, got {e:?}"
                 );
             }
         }

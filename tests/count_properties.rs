@@ -17,8 +17,8 @@ use pq_engine::ExecutionContext;
 use pq_exec::Pool;
 use pq_query::{parse_cq, ConjunctiveQuery};
 
-/// Exec-pool widths the oracle sweeps: 1 exercises the serial path inside
-/// the parallel entry points, 4 exercises real fan-out.
+/// Exec-pool widths the oracle sweeps: a degree-1 pool leaves the context
+/// serial, 4 exercises real fan-out.
 const DEGREES: [usize; 2] = [1, 4];
 
 /// A random chain-join instance: `L` binary relations `R0 … R{L-1}` joined
@@ -102,10 +102,8 @@ fn check_instance(q: &ConjunctiveQuery, db: &Database, groups: &[String]) {
     );
     assert!(serial.assignments >= serial.distinct);
     for threads in DEGREES {
-        let pool = Pool::new(threads);
-        let par = plan
-            .execute_parallel(q, db, &ExecutionContext::unlimited().into_shared(), &pool)
-            .unwrap();
+        let ctx = ExecutionContext::new().with_pool(&Pool::new(threads));
+        let par = plan.execute_governed(q, db, &ctx).unwrap();
         assert_eq!(par, serial, "parallel count drifted at {threads} threads");
     }
     if groups.is_empty() {
@@ -144,16 +142,8 @@ fn check_instance(q: &ConjunctiveQuery, db: &Database, groups: &[String]) {
         "grouped counts != enumerate-then-count group-by"
     );
     for threads in DEGREES {
-        let pool = Pool::new(threads);
-        let par = plan
-            .execute_by_parallel(
-                q,
-                db,
-                groups,
-                &ExecutionContext::unlimited().into_shared(),
-                &pool,
-            )
-            .unwrap();
+        let ctx = ExecutionContext::new().with_pool(&Pool::new(threads));
+        let par = plan.execute_by_governed(q, db, groups, &ctx).unwrap();
         assert_eq!(
             par.to_relation("count").unwrap().canonical_rows(),
             rendered.canonical_rows(),
@@ -229,10 +219,8 @@ fn overflow_is_a_typed_error_never_a_wrapped_count() {
     assert!(err.is_overflow(), "governed count: {err:?}");
 
     for threads in DEGREES {
-        let pool = Pool::new(threads);
-        let err = plan
-            .execute_parallel(&q, &db, &ExecutionContext::unlimited().into_shared(), &pool)
-            .unwrap_err();
+        let ctx = ExecutionContext::new().with_pool(&Pool::new(threads));
+        let err = plan.execute_governed(&q, &db, &ctx).unwrap_err();
         assert!(err.is_overflow(), "parallel count at {threads}: {err:?}");
     }
 }

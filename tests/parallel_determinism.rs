@@ -1,7 +1,8 @@
-//! Parallel execution is *deterministic*: every parallel engine returns
-//! byte-identical output at 1, 2, and 8 threads — including the planner's
-//! parallel dispatch — and when a shared budget is exhausted or the run is
-//! cancelled, the error kind matches the serial engine's.
+//! Parallel execution is *deterministic*: every governed engine returns
+//! byte-identical output when its context carries a pool of 1, 2, or 8
+//! threads — including the planner's dispatch — and when a shared budget is
+//! exhausted or the run is cancelled, the error kind matches the serial
+//! engine's.
 //!
 //! Each engine earns determinism differently (morsel order for the naive
 //! engines, a level schedule for Yannakakis, fixed trial batches for color
@@ -11,15 +12,15 @@ use pq_core::{plan, PlannerOptions};
 use pq_data::{tuple, Database, Relation};
 use pq_engine::colorcoding::{self, ColorCodingOptions};
 use pq_engine::datalog_eval::{self, Strategy};
-use pq_engine::governor::SharedContext;
-use pq_engine::{naive, naive_indexed, yannakakis};
+use pq_engine::{hypertree, naive, naive_indexed, yannakakis};
 use pq_engine::{CancellationToken, EngineError, ExecutionContext, ResourceKind};
 use pq_exec::Pool;
 use pq_query::{parse_cq, parse_datalog};
 
-/// Thread counts the suite sweeps. 1 exercises the serial fallback inside
-/// each parallel entry point; 2 and 8 exercise real fan-out (8 > the
-/// container's core count, so workers interleave adversarially).
+/// Thread counts the suite sweeps. A degree-1 pool leaves the context serial
+/// (the same path the plain entry points take); 2 and 8 exercise real
+/// fan-out (8 > the container's core count, so workers interleave
+/// adversarially).
 const DEGREES: [usize; 3] = [1, 2, 8];
 
 fn graph_db() -> Database {
@@ -48,11 +49,20 @@ fn graph_db() -> Database {
         }
     }
     db.add_table("EP", ["e", "p"], ep).unwrap();
+
+    // A hub with three leaf relations for the star query: skewed keys, and
+    // one key missing from each leaf so every semijoin actually filters.
+    db.add_table("H", ["c"], (0..9i64).map(|c| tuple![c]))
+        .unwrap();
+    for (name, attr, skip) in [("P", "x", 8), ("Q", "y", 7), ("W", "z", 6)] {
+        let rows = (0..30i64)
+            .filter(|i| i % 9 != skip)
+            .map(|i| tuple![i % 9, format!("{attr}{i}")]);
+        db.add_table(name, ["c", attr], rows).unwrap();
+    }
     db
 }
 
-/// Render a relation as sorted `attr=value` lines — a canonical byte string
-/// independent of any incidental in-memory ordering.
 /// A denser graph for the deadline cases: the governor consults the wall
 /// clock only every `TICKS_PER_CLOCK_CHECK` loop-head polls, so each worker
 /// must see enough rows to cross that threshold before finishing.
@@ -68,14 +78,17 @@ fn dense_db(n: usize) -> Database {
     db
 }
 
+/// Render a relation as sorted `attr=value` lines — a canonical byte string
+/// independent of any incidental in-memory ordering.
 fn rendered(r: &Relation) -> String {
     let mut lines: Vec<String> = r.iter().map(|t| format!("{t:?}")).collect();
     lines.sort();
     lines.join("\n")
 }
 
-fn fresh_shared() -> SharedContext {
-    ExecutionContext::unlimited().into_shared()
+/// An unlimited context at the given degree.
+fn at(threads: usize) -> ExecutionContext {
+    ExecutionContext::new().with_pool(&Pool::new(threads))
 }
 
 fn kind_of(e: &EngineError) -> ResourceKind {
@@ -86,44 +99,48 @@ fn kind_of(e: &EngineError) -> ResourceKind {
 }
 
 #[test]
-fn every_parallel_engine_is_byte_identical_across_thread_counts() {
+fn every_engine_is_byte_identical_across_thread_counts() {
     let db = graph_db();
     let triangle = parse_cq("G(x, y, z) :- E(x, y), E(y, z), E(z, x).").unwrap();
     let path = parse_cq("G(x, z) :- E(x, y), E(y, z).").unwrap();
+    // One hub, three leaves: every level of the join tree below the root has
+    // several nodes, so each pass takes its multi-node fan-out branch.
+    let star = parse_cq("G(c, x, y) :- H(c), P(c, x), Q(c, y), W(c, z).").unwrap();
     let neq = parse_cq("G(e) :- EP(e, p), EP(e, p2), p != p2.").unwrap();
     let cc_opts = ColorCodingOptions::default();
 
-    // (name, serial baseline, parallel runner at a given pool).
-    type Runner<'a> = Box<dyn Fn(&Pool) -> Relation + 'a>;
+    // (name, plain baseline, governed runner on a given context).
+    type Runner<'a> = Box<dyn Fn(&ExecutionContext) -> Relation + 'a>;
     let cases: Vec<(&str, Relation, Runner)> = vec![
         (
             "naive/triangle",
             naive::evaluate(&triangle, &db).unwrap(),
-            Box::new(|pool| {
-                naive::evaluate_parallel(&triangle, &db, &fresh_shared(), pool).unwrap()
-            }),
+            Box::new(|ctx| naive::evaluate_governed(&triangle, &db, ctx).unwrap()),
         ),
         (
             "naive_indexed/triangle",
             naive_indexed::evaluate(&triangle, &db).unwrap(),
-            Box::new(|pool| {
-                naive_indexed::evaluate_parallel(&triangle, &db, &fresh_shared(), pool).unwrap()
-            }),
+            Box::new(|ctx| naive_indexed::evaluate_governed(&triangle, &db, ctx).unwrap()),
         ),
         (
             "yannakakis/path",
             yannakakis::evaluate(&path, &db).unwrap(),
-            Box::new(|pool| {
-                yannakakis::evaluate_parallel(&path, &db, Default::default(), &fresh_shared(), pool)
-                    .unwrap()
-            }),
+            Box::new(|ctx| yannakakis::evaluate_governed(&path, &db, ctx).unwrap()),
+        ),
+        (
+            "yannakakis/star",
+            naive::evaluate(&star, &db).unwrap(),
+            Box::new(|ctx| yannakakis::evaluate_governed(&star, &db, ctx).unwrap()),
+        ),
+        (
+            "hypertree/triangle",
+            naive::evaluate(&triangle, &db).unwrap(),
+            Box::new(|ctx| hypertree::evaluate_governed(&triangle, &db, ctx).unwrap()),
         ),
         (
             "colorcoding/neq",
             colorcoding::evaluate(&neq, &db, &cc_opts).unwrap(),
-            Box::new(|pool| {
-                colorcoding::evaluate_parallel(&neq, &db, &cc_opts, &fresh_shared(), pool).unwrap()
-            }),
+            Box::new(|ctx| colorcoding::evaluate_governed(&neq, &db, &cc_opts, ctx).unwrap()),
         ),
     ];
 
@@ -131,7 +148,7 @@ fn every_parallel_engine_is_byte_identical_across_thread_counts() {
         let baseline = rendered(serial);
         assert!(!serial.is_empty(), "{name}: workload is degenerate");
         for threads in DEGREES {
-            let out = run(&Pool::new(threads));
+            let out = run(&at(threads));
             assert_eq!(*serial, out, "{name} differs at {threads} threads");
             assert_eq!(
                 baseline,
@@ -140,10 +157,25 @@ fn every_parallel_engine_is_byte_identical_across_thread_counts() {
             );
         }
     }
+
+    // Emptiness over the same star takes the upward pass alone, at every
+    // degree — and says "empty" once a leaf is.
+    let mut leafless = db.clone();
+    leafless.set_relation("W", Relation::new(["c", "z"]).unwrap());
+    for threads in DEGREES {
+        assert!(yannakakis::is_nonempty_governed(&star, &db, &at(threads)).unwrap());
+        assert!(!yannakakis::is_nonempty_governed(&star, &leafless, &at(threads)).unwrap());
+        assert!(
+            yannakakis::evaluate_governed(&star, &leafless, &at(threads))
+                .unwrap()
+                .is_empty(),
+            "star over an empty leaf at {threads} threads"
+        );
+    }
 }
 
 #[test]
-fn parallel_datalog_reaches_the_serial_fixpoint_at_every_degree() {
+fn datalog_reaches_the_serial_fixpoint_at_every_degree() {
     let db = graph_db();
     let tc = parse_datalog("T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z). ?- T").unwrap();
     for strategy in [Strategy::Naive, Strategy::SemiNaive] {
@@ -151,9 +183,7 @@ fn parallel_datalog_reaches_the_serial_fixpoint_at_every_degree() {
         assert!(!serial.is_empty());
         let baseline = rendered(&serial);
         for threads in DEGREES {
-            let pool = Pool::new(threads);
-            let out = datalog_eval::evaluate_parallel(&tc, &db, strategy, &fresh_shared(), &pool)
-                .unwrap();
+            let out = datalog_eval::evaluate_governed(&tc, &db, strategy, &at(threads)).unwrap();
             assert_eq!(
                 baseline,
                 rendered(&out),
@@ -164,11 +194,12 @@ fn parallel_datalog_reaches_the_serial_fixpoint_at_every_degree() {
 }
 
 #[test]
-fn planner_parallel_dispatch_is_byte_identical_across_thread_counts() {
+fn planner_dispatch_is_byte_identical_across_thread_counts() {
     let db = graph_db();
     let queries = [
         "G(x, y, z) :- E(x, y), E(y, z), E(z, x).",
         "G(x, z) :- E(x, y), E(y, z).",
+        "G(c, x, y) :- H(c), P(c, x), Q(c, y), W(c, z).",
         "G(e) :- EP(e, p), EP(e, p2), p != p2.",
     ];
     let opts = PlannerOptions {
@@ -181,16 +212,14 @@ fn planner_parallel_dispatch_is_byte_identical_across_thread_counts() {
         let serial = p.execute(&q, &db).unwrap();
         let baseline = rendered(&serial);
         for threads in DEGREES {
-            let pool = Pool::new(threads);
-            let out = p.execute_parallel(&q, &db, &fresh_shared(), &pool).unwrap();
+            let out = p.execute_governed(&q, &db, &at(threads)).unwrap();
             assert_eq!(
                 baseline,
                 rendered(&out),
                 "{src} differs at {threads} threads"
             );
             assert_eq!(
-                p.is_nonempty_parallel(&q, &db, &fresh_shared(), &pool)
-                    .unwrap(),
+                p.is_nonempty_governed(&q, &db, &at(threads)).unwrap(),
                 !serial.is_empty(),
                 "{src} emptiness differs at {threads} threads"
             );
@@ -219,29 +248,37 @@ fn budget_exhaustion_matches_serial_error_kind_at_every_degree() {
 
     for threads in DEGREES {
         let pool = Pool::new(threads);
-        let budget = || ExecutionContext::new().with_tuple_budget(2).into_shared();
-        let e = naive::evaluate_parallel(&triangle, &db, &budget(), &pool).unwrap_err();
+        let budget = || {
+            ExecutionContext::new()
+                .with_tuple_budget(2)
+                .with_pool(&pool)
+        };
+        let e = naive::evaluate_governed(&triangle, &db, &budget()).unwrap_err();
         assert_eq!(kind_of(&e), serial_kind, "naive at {threads} threads");
-        let e = naive_indexed::evaluate_parallel(&triangle, &db, &budget(), &pool).unwrap_err();
+        let e = naive_indexed::evaluate_governed(&triangle, &db, &budget()).unwrap_err();
         assert_eq!(kind_of(&e), serial_kind, "indexed at {threads} threads");
-        let e = datalog_eval::evaluate_parallel(&tc, &db, Strategy::SemiNaive, &budget(), &pool)
-            .unwrap_err();
+        let e =
+            datalog_eval::evaluate_governed(&tc, &db, Strategy::SemiNaive, &budget()).unwrap_err();
         assert_eq!(kind_of(&e), serial_kind, "datalog at {threads} threads");
     }
 
     // Yannakakis charges per semijoin/join output; its serial trip point is
-    // the same kind.
+    // the same kind — on the chain (single-parent levels) and on the star
+    // (multi-parent levels) alike.
     let path = parse_cq("G(x, z) :- E(x, y), E(y, z).").unwrap();
-    let serial_kind = kind_of(
-        &yannakakis::evaluate_governed(&path, &db, &ExecutionContext::new().with_tuple_budget(1))
-            .unwrap_err(),
-    );
-    for threads in DEGREES {
-        let pool = Pool::new(threads);
-        let shared = ExecutionContext::new().with_tuple_budget(1).into_shared();
-        let e = yannakakis::evaluate_parallel(&path, &db, Default::default(), &shared, &pool)
-            .unwrap_err();
-        assert_eq!(kind_of(&e), serial_kind, "yannakakis at {threads} threads");
+    let star = parse_cq("G(c, x, y) :- H(c), P(c, x), Q(c, y), W(c, z).").unwrap();
+    for q in [&path, &star] {
+        let serial_kind = kind_of(
+            &yannakakis::evaluate_governed(q, &db, &ExecutionContext::new().with_tuple_budget(1))
+                .unwrap_err(),
+        );
+        for threads in DEGREES {
+            let ctx = ExecutionContext::new()
+                .with_tuple_budget(1)
+                .with_pool(&Pool::new(threads));
+            let e = yannakakis::evaluate_governed(q, &db, &ctx).unwrap_err();
+            assert_eq!(kind_of(&e), serial_kind, "yannakakis at {threads} threads");
+        }
     }
 }
 
@@ -292,29 +329,23 @@ fn cancellation_and_deadline_match_serial_error_kind_at_every_degree() {
 
     for threads in DEGREES {
         let pool = Pool::new(threads);
-        let e = naive::evaluate_parallel(&triangle, &dense, &cancelled().into_shared(), &pool)
-            .unwrap_err();
-        assert_eq!(kind_of(&e), serial_cancel, "naive cancel at {threads}");
         let e =
-            naive_indexed::evaluate_parallel(&triangle, &dense, &cancelled().into_shared(), &pool)
-                .unwrap_err();
+            naive::evaluate_governed(&triangle, &dense, &cancelled().with_pool(&pool)).unwrap_err();
+        assert_eq!(kind_of(&e), serial_cancel, "naive cancel at {threads}");
+        let e = naive_indexed::evaluate_governed(&triangle, &dense, &cancelled().with_pool(&pool))
+            .unwrap_err();
         assert_eq!(kind_of(&e), serial_cancel, "indexed cancel at {threads}");
-        let e = colorcoding::evaluate_parallel(
-            &neq,
-            &ep_db,
-            &cc_opts,
-            &cancelled().into_shared(),
-            &pool,
-        )
-        .unwrap_err();
+        let e =
+            colorcoding::evaluate_governed(&neq, &ep_db, &cc_opts, &cancelled().with_pool(&pool))
+                .unwrap_err();
         assert_eq!(
             kind_of(&e),
             serial_cancel,
             "colorcoding cancel at {threads}"
         );
 
-        let e = naive::evaluate_parallel(&triangle, &dense, &expired().into_shared(), &pool)
-            .unwrap_err();
+        let e =
+            naive::evaluate_governed(&triangle, &dense, &expired().with_pool(&pool)).unwrap_err();
         assert_eq!(kind_of(&e), serial_timeout, "naive deadline at {threads}");
     }
 }
