@@ -19,19 +19,21 @@
 //! repro ivm          pq-ivm: single-row delta maintenance vs full recompute
 //!                    for live transitive-closure and join views
 //! repro hypertree    pq-engine::hypertree: bounded-width cyclic CQs vs the
-//!                    naive engine, recorded in BENCH_hypertree.json
+//!                    naive engine
 //! repro count        pq-count: exact answer counting without enumeration vs
 //!                    enumerate-then-count on chains with exponential answer
-//!                    sets, recorded in BENCH_count.json
+//!                    sets
 //! repro rewrite      pq-analyze/pq-service: answering queries from
 //!                    materialized views (the PQA8xx containment pass) vs
-//!                    cold evaluation, recorded in BENCH_rewrite.json
+//!                    cold evaluation
 //! repro all          Everything above, in order
 //! ```
 //!
 //! Absolute numbers are machine-dependent; the *shapes* (who wins, fitted
 //! exponents, where crossovers fall) are the reproduction targets recorded
-//! in EXPERIMENTS.md.
+//! in EXPERIMENTS.md. The last three print ratio tables only; the absolute
+//! numbers for the same engines are the `lib-scale` families and the
+//! `wire-write` view share of `benchmark/` (see EXPERIMENTS.md E16–E18).
 
 use std::time::Duration;
 
@@ -1164,59 +1166,43 @@ fn ivm_exp() {
 
 /// E16: bounded hypertree width beyond the paper's Fig. 1 — the width-2
 /// cycle family evaluated by bag materialization + Yannakakis over the bag
-/// tree, vs the naive `n^q` backtracker. The results start the perf
-/// trajectory in `BENCH_hypertree.json`. Acceptance bar: >= 5x at the
-/// largest size.
+/// tree, vs the naive `n^q` backtracker.
 fn hypertree_exp() {
     use pq_engine::hypertree;
     use pq_hypergraph::decompose;
 
     header("pq-engine::hypertree — width-2 cyclic CQs vs naive (E16)");
 
-    // One table per family; the acceptance bar reads the headline family.
-    let run_family = |name: &str,
-                      q: &pq_query::ConjunctiveQuery,
-                      instances: &[(usize, Database)]|
-     -> (f64, Vec<String>) {
-        let d = decompose(&q.hypergraph(), 3).expect("family stays within the width limit");
-        println!("\n[{name}] {q}");
-        println!(
-            "  hypertree width {} ({}), decomposition {}",
-            d.width(),
-            if d.is_exact() { "exact" } else { "heuristic" },
-            d.shape()
-        );
-        println!(
-            "  {:>8} {:>12} {:>12} {:>9} {:>8}",
-            "tuples", "hypertree", "naive", "speedup", "answers"
-        );
-        let mut rows = Vec::new();
-        let mut last_speedup = 0.0f64;
-        for (n, db) in instances {
-            let (out, d_h) = time_once(|| hypertree::evaluate(q, db).unwrap());
-            let d_h = d_h.min(time_min(2, || hypertree::evaluate(q, db).unwrap().len()));
-            let (out_naive, d_n) = time_once(|| naive::evaluate(q, db).unwrap());
-            assert_eq!(out, out_naive, "engines must agree at n = {n}");
-            last_speedup = d_n.as_secs_f64() / d_h.as_secs_f64().max(1e-9);
+    // One table per family.
+    let run_family =
+        |name: &str, q: &pq_query::ConjunctiveQuery, instances: &[(usize, Database)]| {
+            let d = decompose(&q.hypergraph(), 3).expect("family stays within the width limit");
+            println!("\n[{name}] {q}");
             println!(
-                "  {:>8} {:>12} {:>12} {:>8.1}x {:>8}",
-                n,
-                fmt_duration(d_h),
-                fmt_duration(d_n),
-                last_speedup,
-                out.len()
+                "  hypertree width {} ({}), decomposition {}",
+                d.width(),
+                if d.is_exact() { "exact" } else { "heuristic" },
+                d.shape()
             );
-            rows.push(format!(
-                "        {{\"n\": {n}, \"hypertree_secs\": {:.6}, \"naive_secs\": {:.6}, \
-                 \"speedup\": {:.2}, \"answers\": {}}}",
-                d_h.as_secs_f64(),
-                d_n.as_secs_f64(),
-                last_speedup,
-                out.len()
-            ));
-        }
-        (last_speedup, rows)
-    };
+            println!(
+                "  {:>8} {:>12} {:>12} {:>9} {:>8}",
+                "tuples", "hypertree", "naive", "speedup", "answers"
+            );
+            for (n, db) in instances {
+                let (out, d_h) = time_once(|| hypertree::evaluate(q, db).unwrap());
+                let d_h = d_h.min(time_min(2, || hypertree::evaluate(q, db).unwrap().len()));
+                let (out_naive, d_n) = time_once(|| naive::evaluate(q, db).unwrap());
+                assert_eq!(out, out_naive, "engines must agree at n = {n}");
+                println!(
+                    "  {:>8} {:>12} {:>12} {:>8.1}x {:>8}",
+                    n,
+                    fmt_duration(d_h),
+                    fmt_duration(d_n),
+                    d_n.as_secs_f64() / d_h.as_secs_f64().max(1e-9),
+                    out.len()
+                );
+            }
+        };
 
     // Headline: the triangle — single width-2 bag, connected cover, so the
     // bag materializes in O(n²/d) against naive's n-deep backtracking.
@@ -1225,7 +1211,7 @@ fn hypertree_exp() {
         .iter()
         .map(|&n| (n, workloads::triangle_database(n, (n as i64) / 4, 29)))
         .collect();
-    let (t_speedup, t_rows) = run_family("triangle", &tq, &t_instances);
+    run_family("triangle", &tq, &t_instances);
 
     // Secondary: the 6-cycle — three bags, a real tree sweep, and the
     // disconnected-cover worst case (opposite cycle edges) where bag
@@ -1235,33 +1221,7 @@ fn hypertree_exp() {
         .iter()
         .map(|&n| (n, workloads::cycle_database(6, n, (n as i64) / 4, 29)))
         .collect();
-    let (c_speedup, c_rows) = run_family("cycle-6", &cq, &c_instances);
-
-    let pass = t_speedup >= 5.0;
-    println!(
-        "\n  triangle speedup at the largest size: {t_speedup:.1}x  \
-         (acceptance bar: >= 5x: {})",
-        if pass { "PASS" } else { "FAIL" }
-    );
-
-    // Hand-rolled JSON: the perf-trajectory baseline later PRs diff against.
-    let family = |name: &str, rows: &[String], speedup: f64| {
-        format!(
-            "    {{\n      \"family\": \"{name}\",\n      \"points\": [\n{}\n      ],\n      \
-             \"largest_speedup\": {speedup:.2}\n    }}",
-            rows.join(",\n")
-        )
-    };
-    let json = format!(
-        "{{\n  \"experiment\": \"E16\",\n  \"width\": 2,\n  \"families\": [\n{},\n{}\n  ],\n  \
-         \"bar_5x\": {pass}\n}}\n",
-        family("triangle", &t_rows, t_speedup),
-        family("cycle-6", &c_rows, c_speedup),
-    );
-    match std::fs::write("BENCH_hypertree.json", &json) {
-        Ok(()) => println!("  wrote BENCH_hypertree.json"),
-        Err(e) => println!("  could not write BENCH_hypertree.json: {e}"),
-    }
+    run_family("cycle-6", &cq, &c_instances);
 }
 
 // ----------------------------------------------------------------- count --
@@ -1271,8 +1231,7 @@ fn hypertree_exp() {
 /// quantifier-free chain family over complete `3x3` relations, whose
 /// answer set is exactly `3^(len+1)` while the input grows by 9 tuples per
 /// atom. Counts are cross-checked for byte-identical agreement with the
-/// enumeration oracle serially and at 2 and 4 exec threads. Acceptance
-/// bar: >= 10x at the largest size, recorded in `BENCH_count.json`.
+/// enumeration oracle serially and at 2 and 4 exec threads.
 fn count_exp() {
     use pq_core::{plan_count, PlannerOptions};
     use pq_engine::ExecutionContext;
@@ -1286,8 +1245,6 @@ fn count_exp() {
         "  {:>5} {:>14} {:>12} {:>12} {:>9}",
         "len", "answers", "count", "enumerate", "speedup"
     );
-    let mut rows = Vec::new();
-    let mut last_speedup = 0.0f64;
     for len in [6usize, 8, 10] {
         let q = workloads::chain_full_query(len);
         let db = workloads::complete_chain_database(len, base);
@@ -1315,41 +1272,14 @@ fn count_exp() {
             assert_eq!(par, count, "len = {len} at {threads} threads");
         }
 
-        last_speedup = d_e.as_secs_f64() / d_c.as_secs_f64().max(1e-9);
         println!(
             "  {:>5} {:>14} {:>12} {:>12} {:>8.1}x",
             len,
             count.distinct,
             fmt_duration(d_c),
             fmt_duration(d_e),
-            last_speedup
+            d_e.as_secs_f64() / d_c.as_secs_f64().max(1e-9)
         );
-        rows.push(format!(
-            "        {{\"len\": {len}, \"answers\": {}, \"count_secs\": {:.6}, \
-             \"enumerate_secs\": {:.6}, \"speedup\": {:.2}}}",
-            count.distinct,
-            d_c.as_secs_f64(),
-            d_e.as_secs_f64(),
-            last_speedup
-        ));
-    }
-
-    let pass = last_speedup >= 10.0;
-    println!(
-        "\n  speedup at the largest size: {last_speedup:.1}x  \
-         (acceptance bar: >= 10x: {})",
-        if pass { "PASS" } else { "FAIL" }
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"E17\",\n  \"base\": {base},\n  \"family\": \"chain \
-         quantifier-free\",\n  \"points\": [\n{}\n  ],\n  \"largest_speedup\": \
-         {last_speedup:.2},\n  \"bar_10x\": {pass}\n}}\n",
-        rows.join(",\n")
-    );
-    match std::fs::write("BENCH_count.json", &json) {
-        Ok(()) => println!("  wrote BENCH_count.json"),
-        Err(e) => println!("  could not write BENCH_count.json: {e}"),
     }
 }
 
@@ -1363,8 +1293,7 @@ fn count_exp() {
 /// engine's Θ(n²) bag materialization on every request, the view service
 /// copies the (small) answer column. Both services run with the result
 /// cache off, so every repeat pays its honest path. Answers are checked
-/// byte-identical before and after a mutation batch. Acceptance bar:
-/// >= 10x at the largest size, recorded in `BENCH_rewrite.json`.
+/// byte-identical before and after a mutation batch.
 fn rewrite_exp() {
     use pq_data::tuple;
     use pq_service::{QueryService, RequestLimits, ServiceConfig};
@@ -1387,8 +1316,6 @@ fn rewrite_exp() {
         "tuples", "answers", "view-scan", "cold", "speedup"
     );
 
-    let mut rows_json = Vec::new();
-    let mut last_speedup = 0.0f64;
     for n_tuples in [600usize, 1200, 2400] {
         let db = workloads::triangle_database(n_tuples, (n_tuples as i64) / 4, 29);
         let query_src = "G(x) :- E(x, y), E(y, z), E(z, x).";
@@ -1433,44 +1360,17 @@ fn rewrite_exp() {
             "STATS never counted the view path"
         );
 
-        last_speedup = cold.as_secs_f64() / viewed.as_secs_f64().max(1e-9);
         println!(
             "  {:>8} {:>10} {:>12} {:>12} {:>8.1}x",
             n_tuples,
             cold_resp.rows.len(),
             fmt_duration(viewed),
             fmt_duration(cold),
-            last_speedup
+            cold.as_secs_f64() / viewed.as_secs_f64().max(1e-9)
         );
-        rows_json.push(format!(
-            "        {{\"tuples\": {n_tuples}, \"answers\": {}, \"view_secs\": {:.6}, \
-             \"cold_secs\": {:.6}, \"speedup\": {:.2}}}",
-            cold_resp.rows.len(),
-            viewed.as_secs_f64(),
-            cold.as_secs_f64(),
-            last_speedup
-        ));
 
         view_svc.unsubscribe(sub.id);
         view_svc.shutdown();
         cold_svc.shutdown();
-    }
-
-    let pass = last_speedup >= 10.0;
-    println!(
-        "\n  speedup at the largest size: {last_speedup:.1}x  \
-         (acceptance bar: >= 10x: {})",
-        if pass { "PASS" } else { "FAIL" }
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"E18\",\n  \"family\": \"chain alpha-renamed \
-         view\",\n  \"points\": [\n{}\n  ],\n  \"largest_speedup\": \
-         {last_speedup:.2},\n  \"bar_10x\": {pass}\n}}\n",
-        rows_json.join(",\n")
-    );
-    match std::fs::write("BENCH_rewrite.json", &json) {
-        Ok(()) => println!("  wrote BENCH_rewrite.json"),
-        Err(e) => println!("  could not write BENCH_rewrite.json: {e}"),
     }
 }

@@ -17,7 +17,7 @@ use pq_hypergraph::HypertreeDecomposition;
 use pq_query::ConjunctiveQuery;
 
 use crate::classify::{classification_of, Classification, CqClass};
-use crate::planner::{FallbackAttempt, PlannerOptions};
+use crate::planner::{self, first_success, retryable, FallbackAttempt, Plan, PlannerOptions, Step};
 
 /// The counting strategy a [`CountPlan`] commits to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,6 +65,11 @@ pub struct CountPlan {
     /// The intra-query parallelism degree this plan asks for (same
     /// contract as [`crate::Plan::parallelism`]).
     pub parallelism: usize,
+    /// The evaluation plan an [`CountChoice::EnumerateThenCount`] plan
+    /// counts the answers of — chosen once, at plan time, under the same
+    /// [`PlannerOptions`] as the count plan itself. `None` for every other
+    /// choice.
+    enumeration: Option<Box<Plan>>,
 }
 
 /// Choose a counting strategy for the query.
@@ -96,17 +101,17 @@ pub fn plan_count(q: &ConjunctiveQuery, opts: &PlannerOptions) -> CountPlan {
                 _ => ("enumerate-then-count", CountChoice::EnumerateThenCount),
             }
         };
-    let parallelism = match &choice {
-        CountChoice::ConstantEmpty => 1,
-        _ if analysis.effective(q).atoms.len() <= 1 => 1,
-        _ => opts.max_parallelism.max(1),
-    };
+    let constant = matches!(choice, CountChoice::ConstantEmpty);
+    let parallelism = planner::recommended_parallelism(&analysis, q, constant, opts);
+    let enumeration = matches!(choice, CountChoice::EnumerateThenCount)
+        .then(|| Box::new(planner::plan(analysis.effective(q), opts)));
     CountPlan {
         classification,
         engine,
         choice,
         analysis,
         parallelism,
+        enumeration,
     }
 }
 
@@ -134,26 +139,21 @@ fn group_enumerated(
     Ok(out)
 }
 
-/// Validate `groups` against the head (shared with the grouped execute
-/// paths): distinct head variables, order preserved.
-fn checked_groups(q: &ConjunctiveQuery, groups: &[String]) -> pq_count::Result<Vec<String>> {
-    let head: std::collections::BTreeSet<&str> = q.head_variables().into_iter().collect();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut out = Vec::new();
-    for g in groups {
-        if !head.contains(g.as_str()) {
-            return Err(CountError::Engine(EngineError::Unsupported(format!(
-                "GROUP BY variable `{g}` is not a head variable of {q}"
-            ))));
-        }
-        if seen.insert(g.as_str()) {
-            out.push(g.clone());
-        }
-    }
-    Ok(out)
-}
-
 impl CountPlan {
+    /// Enumerate the answers of the (effective) query `q` with the
+    /// evaluation plan chosen at plan time.
+    fn enumerate(
+        &self,
+        q: &ConjunctiveQuery,
+        db: &Database,
+        ctx: &ExecutionContext,
+    ) -> pq_count::Result<Relation> {
+        let plan = self.enumeration.as_ref().ok_or_else(|| {
+            EngineError::Unsupported("this count plan carries no evaluation plan".into())
+        })?;
+        Ok(plan.execute_governed(q, db, ctx)?)
+    }
+
     /// Count `Q(d)` with the committed strategy under the limits of `ctx`,
     /// fanned out on the pool `ctx` carries; counts are byte-identical at
     /// any pool size.
@@ -172,9 +172,7 @@ impl CountPlan {
                 assignments: 0,
             }),
             CountChoice::EnumerateThenCount => {
-                let rows = crate::planner::plan(q, &PlannerOptions::default())
-                    .execute_governed(q, db, ctx)?;
-                let n = rows.len() as u128;
+                let n = self.enumerate(q, db, ctx)?.len() as u128;
                 Ok(QueryCount {
                     distinct: n,
                     assignments: n,
@@ -199,13 +197,11 @@ impl CountPlan {
             CountChoice::Acyclic => pq_count::count_by_governed(q, db, groups, ctx),
             CountChoice::Hypertree(d) => pq_count::count_by_decomposed(q, db, d, groups, ctx),
             CountChoice::ConstantEmpty => {
-                CountedRelation::new(checked_groups(q, groups)?.iter().map(String::clone))
+                CountedRelation::new(pq_count::check_groups(q, groups)?.iter().map(String::clone))
             }
             CountChoice::EnumerateThenCount => {
-                let groups = checked_groups(q, groups)?;
-                let rows = crate::planner::plan(q, &PlannerOptions::default())
-                    .execute_governed(q, db, ctx)?;
-                group_enumerated(&rows, &groups, self.engine)
+                let groups = pq_count::check_groups(q, groups)?;
+                group_enumerated(&self.enumerate(q, db, ctx)?, &groups, self.engine)
             }
         }
     }
@@ -213,19 +209,8 @@ impl CountPlan {
     /// The base relations this plan reads (same contract as
     /// [`crate::Plan::mentioned_relations`]).
     pub fn mentioned_relations(&self, q: &ConjunctiveQuery) -> Vec<String> {
-        if matches!(self.choice, CountChoice::ConstantEmpty) {
-            return Vec::new();
-        }
-        let mut names: Vec<String> = self
-            .analysis
-            .effective(q)
-            .atoms
-            .iter()
-            .map(|a| a.relation.clone())
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        names
+        let constant = matches!(self.choice, CountChoice::ConstantEmpty);
+        planner::mentioned_relations(&self.analysis, q, constant)
     }
 }
 
@@ -248,18 +233,6 @@ pub struct CountOutcome {
     pub classification: Classification,
     /// Attempts in order; the last entry is the one that succeeded.
     pub attempts: Vec<FallbackAttempt>,
-}
-
-/// May the counting chain move past `e`? Overflow never: the true count
-/// exceeds `u128` on *every* strategy (enumeration least of all), so
-/// retrying cannot help. Engine errors follow the same rules as the
-/// evaluation chain (`Unsupported` and recoverable exhaustion advance).
-fn retryable(e: &CountError) -> bool {
-    match e {
-        CountError::Overflow { .. } => false,
-        CountError::Engine(e) => crate::planner::retryable_engine_error(e),
-        _ => false,
-    }
 }
 
 /// Count `Q(d)` with graceful degradation under the limits of `ctx`.
@@ -296,60 +269,43 @@ pub fn count_with_fallback(
             }],
         });
     }
+    let chain: [Step<'_, QueryCount, CountError>; 2] = [
+        (
+            "count-yannakakis",
+            Box::new(|| pq_count::count_governed(q, db, ctx)),
+        ),
+        (
+            "count-hypertree",
+            Box::new(|| match analysis.report.decomposition.as_ref() {
+                Some(d) => pq_count::count_decomposed(q, db, d, ctx),
+                None => Err(CountError::Engine(EngineError::Unsupported(
+                    "no hypertree decomposition within the width limit".into(),
+                ))),
+            }),
+        ),
+    ];
+    // May the chain move past `e`? Overflow never: the true count exceeds
+    // `u128` on *every* strategy (enumeration least of all), so retrying
+    // cannot help. Engine errors follow the evaluation chain's rule.
+    let advances = |e: &CountError| matches!(e, CountError::Engine(e) if retryable(e));
     let mut attempts = Vec::new();
-    // 1. The join-tree sweep.
-    match pq_count::count_governed(q, db, ctx) {
-        Ok(count) => {
-            attempts.push(FallbackAttempt {
-                engine: "count-yannakakis",
-                error: None,
-            });
-            return Ok(CountOutcome {
-                count,
-                classification,
-                attempts,
-            });
+    let count = match first_success(chain, advances, &mut attempts) {
+        Ok(count) => count,
+        // Both sweeps gave up recoverably: enumerate-then-count through the
+        // evaluation chain, whose own attempts join the trail.
+        Err(e) if advances(&e) => {
+            let out = planner::evaluate_with_fallback(q, db, ctx).map_err(CountError::Engine)?;
+            attempts.extend(out.attempts);
+            let n = out.result.len() as u128;
+            QueryCount {
+                distinct: n,
+                assignments: n,
+            }
         }
-        Err(e) if retryable(&e) => attempts.push(FallbackAttempt {
-            engine: "count-yannakakis",
-            error: Some(e.to_string()),
-        }),
         Err(e) => return Err(e),
-    }
-    // 2. The bag sweep, when the analyzer found a decomposition in budget.
-    let decomposed = match analysis.report.decomposition.as_ref() {
-        Some(d) => pq_count::count_decomposed(q, db, d, ctx),
-        None => Err(CountError::Engine(EngineError::Unsupported(
-            "no hypertree decomposition within the width limit".into(),
-        ))),
     };
-    match decomposed {
-        Ok(count) => {
-            attempts.push(FallbackAttempt {
-                engine: "count-hypertree",
-                error: None,
-            });
-            return Ok(CountOutcome {
-                count,
-                classification,
-                attempts,
-            });
-        }
-        Err(e) if retryable(&e) => attempts.push(FallbackAttempt {
-            engine: "count-hypertree",
-            error: Some(e.to_string()),
-        }),
-        Err(e) => return Err(e),
-    }
-    // 3. Enumerate-then-count through the evaluation chain.
-    let out = crate::planner::evaluate_with_fallback(q, db, ctx).map_err(CountError::Engine)?;
-    attempts.extend(out.attempts);
-    let n = out.result.len() as u128;
     Ok(CountOutcome {
-        count: QueryCount {
-            distinct: n,
-            assignments: n,
-        },
+        count,
         classification,
         attempts,
     })
@@ -548,5 +504,40 @@ mod tests {
         let q = parse_cq("G(x, y, z) :- R(x, y), S(y, z).").unwrap();
         assert!(count_at_least(&q, &d, 3, &opts).unwrap());
         assert!(!count_at_least(&q, &d, 4, &opts).unwrap());
+    }
+
+    #[test]
+    fn enumerate_then_count_runs_the_plan_chosen_under_the_callers_options() {
+        // With the width limit at 1 the triangle has no decomposition in
+        // budget: the count plan degrades to enumeration, and the evaluation
+        // plan it carries must obey the same limit — naive backtracking, not
+        // the width-2 hypertree plan default options would pick.
+        let mut opts = PlannerOptions::default();
+        opts.analysis.width_limit = 1;
+        let q = parse_cq("G(x, y, z) :- R(x, y), R(y, z), R(z, x).").unwrap();
+        let p = plan_count(&q, &opts);
+        assert_eq!(p.choice, CountChoice::EnumerateThenCount);
+        let mut d = Database::new();
+        d.add_table("R", ["a", "b"], [tuple![1, 2], tuple![2, 3], tuple![3, 1]])
+            .unwrap();
+        let tiny = || ExecutionContext::new().with_tuple_budget(0);
+        match p.execute_governed(&q, &d, &tiny()) {
+            Err(CountError::Engine(EngineError::ResourceExhausted { engine, .. })) => {
+                assert_eq!(engine, "naive");
+            }
+            other => panic!("expected a budget trip in naive, got {other:?}"),
+        }
+        let by = p.execute_by_governed(&q, &d, &["x".to_string()], &tiny());
+        match by {
+            Err(CountError::Engine(EngineError::ResourceExhausted { engine, .. })) => {
+                assert_eq!(engine, "naive");
+            }
+            other => panic!("expected a budget trip in naive, got {other:?}"),
+        }
+        // Unlimited, the carried plan still counts exactly.
+        let c = p
+            .execute_governed(&q, &d, &ExecutionContext::unlimited())
+            .unwrap();
+        assert_eq!(c.distinct, 3);
     }
 }

@@ -165,11 +165,8 @@ pub fn plan(q: &ConjunctiveQuery, opts: &PlannerOptions) -> Plan {
             }
         }
     };
-    let parallelism = match &choice {
-        EngineChoice::ConstantEmpty => 1,
-        _ if analysis.effective(q).atoms.len() <= 1 => 1,
-        _ => opts.max_parallelism.max(1),
-    };
+    let constant = matches!(choice, EngineChoice::ConstantEmpty);
+    let parallelism = recommended_parallelism(&analysis, q, constant, opts);
     // A view match (PQA801/PQA802) wraps the normal choice: scan the
     // maintained view relation when it is present, degrade to the choice
     // above when it is not. Parallelism keeps the fallback's degree — the
@@ -192,6 +189,45 @@ pub fn plan(q: &ConjunctiveQuery, opts: &PlannerOptions) -> Plan {
         analysis,
         parallelism,
     }
+}
+
+/// The parallelism rule both planners share ([`Plan::parallelism`]):
+/// constant plans and single-atom queries have no fan-out and get `1`,
+/// everything else the configured `max_parallelism`.
+pub(crate) fn recommended_parallelism(
+    analysis: &Analysis,
+    q: &ConjunctiveQuery,
+    constant: bool,
+    opts: &PlannerOptions,
+) -> usize {
+    if constant || analysis.effective(q).atoms.len() <= 1 {
+        1
+    } else {
+        opts.max_parallelism.max(1)
+    }
+}
+
+/// The base relations a plan over `analysis` reads when executed on `q`:
+/// the body atoms of the *effective* (possibly core-minimized) query, sorted
+/// and deduplicated; a constant plan reads nothing. The one body behind
+/// [`Plan::mentioned_relations`] and [`crate::CountPlan::mentioned_relations`].
+pub(crate) fn mentioned_relations(
+    analysis: &Analysis,
+    q: &ConjunctiveQuery,
+    constant: bool,
+) -> Vec<String> {
+    if constant {
+        return Vec::new();
+    }
+    let mut names: Vec<String> = analysis
+        .effective(q)
+        .atoms
+        .iter()
+        .map(|a| a.relation.clone())
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names
 }
 
 fn cc_options(k: usize, opts: &PlannerOptions) -> ColorCodingOptions {
@@ -285,19 +321,8 @@ impl Plan {
     /// per relation (the service's result cache, view maintenance) use this
     /// to ignore mutations to relations the plan never touches.
     pub fn mentioned_relations(&self, q: &ConjunctiveQuery) -> Vec<String> {
-        if matches!(self.choice, EngineChoice::ConstantEmpty) {
-            return Vec::new();
-        }
-        let mut names: Vec<String> = self
-            .analysis
-            .effective(q)
-            .atoms
-            .iter()
-            .map(|a| a.relation.clone())
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        names
+        let constant = matches!(self.choice, EngineChoice::ConstantEmpty);
+        mentioned_relations(&self.analysis, q, constant)
     }
 
     /// [`Plan::execute`] under the limits of `ctx` (see
@@ -372,11 +397,7 @@ pub struct FallbackOutcome {
 /// be rescued by an iterative one. Timeouts and cancellation are global
 /// conditions — no engine can outrun a passed deadline or a cancelled
 /// token — so they propagate immediately.
-pub(crate) fn retryable_engine_error(e: &EngineError) -> bool {
-    retryable(e)
-}
-
-fn retryable(e: &EngineError) -> bool {
+pub(crate) fn retryable(e: &EngineError) -> bool {
     match e {
         EngineError::Unsupported(_) => true,
         EngineError::ResourceExhausted { kind, .. } => {
@@ -384,6 +405,45 @@ fn retryable(e: &EngineError) -> bool {
         }
         _ => false,
     }
+}
+
+/// One step of a degradation chain: the engine's name and its run.
+pub(crate) type Step<'a, T, E> = (
+    &'static str,
+    Box<dyn Fn() -> std::result::Result<T, E> + 'a>,
+);
+
+/// Walk a degradation chain: run the steps in order, recording every
+/// attempt in `attempts`, until one succeeds. An error `retryable` rejects
+/// ends the walk at once; when every step fails retryably the last error
+/// comes back. The one loop behind [`evaluate_with_fallback`] and
+/// [`crate::count_with_fallback`].
+pub(crate) fn first_success<'a, T, E: std::fmt::Display>(
+    chain: impl IntoIterator<Item = Step<'a, T, E>>,
+    retryable: impl Fn(&E) -> bool,
+    attempts: &mut Vec<FallbackAttempt>,
+) -> std::result::Result<T, E> {
+    let mut last_err = None;
+    for (engine, run) in chain {
+        match run() {
+            Ok(out) => {
+                attempts.push(FallbackAttempt {
+                    engine,
+                    error: None,
+                });
+                return Ok(out);
+            }
+            Err(e) if retryable(&e) => {
+                attempts.push(FallbackAttempt {
+                    engine,
+                    error: Some(e.to_string()),
+                });
+                last_err = Some(e);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Err(last_err.expect("chain is nonempty"))
 }
 
 /// Evaluate `Q(d)` with graceful degradation under the limits of `ctx`.
@@ -428,8 +488,7 @@ pub fn evaluate_with_fallback(
         family: HashFamily::Perfect,
         minimize_hashed_attrs: true,
     };
-    type Step<'a> = (&'static str, Box<dyn Fn() -> Result<Relation> + 'a>);
-    let chain: [Step<'_>; 5] = [
+    let chain: [Step<'_, Relation, EngineError>; 5] = [
         (
             "color-coding",
             Box::new(|| colorcoding::evaluate_governed(q, db, &cc, ctx)),
@@ -449,31 +508,12 @@ pub fn evaluate_with_fallback(
         ("naive", Box::new(|| naive::evaluate_governed(q, db, ctx))),
     ];
     let mut attempts = Vec::new();
-    let mut last_err: Option<EngineError> = None;
-    for (engine, run) in chain {
-        match run() {
-            Ok(result) => {
-                attempts.push(FallbackAttempt {
-                    engine,
-                    error: None,
-                });
-                return Ok(FallbackOutcome {
-                    result,
-                    classification,
-                    attempts,
-                });
-            }
-            Err(e) if retryable(&e) => {
-                attempts.push(FallbackAttempt {
-                    engine,
-                    error: Some(e.to_string()),
-                });
-                last_err = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last_err.expect("chain is nonempty"))
+    let result = first_success(chain, retryable, &mut attempts)?;
+    Ok(FallbackOutcome {
+        result,
+        classification,
+        attempts,
+    })
 }
 
 /// The decision problem `t ∈ Q(d)` with the recommended engine.

@@ -40,7 +40,11 @@ pub(crate) fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
 
 /// Validate a `GROUP BY` list: distinct head variables only, returned
 /// deduplicated with first-occurrence order preserved.
-pub(crate) fn check_groups(q: &ConjunctiveQuery, groups: &[String]) -> Result<Vec<String>> {
+///
+/// # Errors
+/// [`EngineError::Unsupported`] (wrapped) when a name is not a head variable
+/// of `q`.
+pub fn check_groups(q: &ConjunctiveQuery, groups: &[String]) -> Result<Vec<String>> {
     let head: BTreeSet<&str> = q.head_variables().into_iter().collect();
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();

@@ -40,7 +40,9 @@ use std::fmt;
 use pq_data::DataError;
 use pq_engine::EngineError;
 
-pub use acyclic::{count, count_by, count_by_governed, count_governed, quantifier_free};
+pub use acyclic::{
+    check_groups, count, count_by, count_by_governed, count_governed, quantifier_free,
+};
 pub use counted::{count_value, CountedRelation};
 pub use decomposed::{count_by_decomposed, count_decomposed};
 

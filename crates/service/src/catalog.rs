@@ -208,6 +208,22 @@ impl Catalog {
     /// [`ServiceError::Durability`] when the journal append fails (the
     /// in-memory mutation has still happened).
     pub fn update<R>(&self, name: &str, f: impl FnOnce(&mut Database) -> R) -> Result<R> {
+        self.apply(name, false, f)
+    }
+
+    /// [`Catalog::update`], or with `rows_only` its row-level form, for
+    /// closures that only call [`Database::insert_rows`] /
+    /// [`Database::delete_rows`]. Those advance the epoch exactly when they
+    /// change a row, so an unchanged epoch means the database is
+    /// byte-identical (a batch of duplicates or absent rows, or a rejected
+    /// one): nothing is journaled and the generation stays, where `update`
+    /// has to assume a wholesale replacement.
+    pub(crate) fn apply<R>(
+        &self,
+        name: &str,
+        rows_only: bool,
+        f: impl FnOnce(&mut Database) -> R,
+    ) -> Result<R> {
         let mut entries = self.entries.write().expect("catalog poisoned");
         let (out, db) = {
             let entry = entries
@@ -216,6 +232,9 @@ impl Catalog {
             let before = entry.db.relation_epochs().clone();
             let before_epoch = entry.db.epoch();
             let out = f(Arc::make_mut(&mut entry.db));
+            if rows_only && entry.db.epoch() == before_epoch {
+                return Ok(out);
+            }
             let monotone = entry.db.epoch() > before_epoch
                 && before
                     .iter()

@@ -5,12 +5,18 @@
 //!
 //! * a [`Catalog`] of named databases behind a `RwLock`, handing out
 //!   copy-on-write snapshots so long queries never block writers;
-//! * a sharded two-level cache — a **plan cache** (canonical query form →
-//!   parsed AST + classification + [`pq_core::Plan`]) and a bounded-LRU
-//!   **result cache** keyed by `(canonical query form, db name, generation,
-//!   epoch)`, so results are invalidated by construction when data changes
-//!   (the key carries the full canonical form, not just a hash of it, so
-//!   distinct queries can never share an entry);
+//! * a sharded two-level cache — a **plan cache** (canonical query form and
+//!   result mode → parsed AST + analysis + [`pq_core::Plan`] or
+//!   [`pq_core::CountPlan`]) and a bounded-LRU **result cache** keyed by
+//!   `(canonical query form, db name, generation, epoch)`, so results are
+//!   invalidated by construction when data changes (the key carries the
+//!   full canonical form, not just a hash of it, so distinct queries can
+//!   never share an entry);
+//! * one request path: a plain `QUERY` and `QUERY @count` are two modes of
+//!   the same staged pipeline (`prepare → bind → lookup → view → run → fill
+//!   → finish`, see [`service`]), with one cache-lookup site and one
+//!   cache-fill site that `EXPLAIN`, `ANALYZE`, `SUBSCRIBE` and view
+//!   maintenance share;
 //! * a fixed-size worker pool with a bounded job queue: when the queue is
 //!   full, requests are rejected *before* any work happens with a
 //!   structured [`ServiceError::Overloaded`] (admission control, not

@@ -235,9 +235,20 @@ fn resolve_load_path(data_dir: Option<&Path>, path: &str) -> Result<PathBuf, Ser
     Ok(root.join(p))
 }
 
+/// Render one outcome: the verb's own lines, or the `ERR <code> …` line.
+fn render<T>(outcome: Result<T, ServiceError>, ok: impl FnOnce(&T) -> Vec<String>) -> Vec<String> {
+    match outcome {
+        Ok(value) => ok(&value),
+        Err(e) => vec![render_error(&e)],
+    }
+}
+
+/// Serve one request: the response lines, and whether the server should
+/// stop accepting afterwards.
 fn respond(shared: &Shared, request: Request) -> (Vec<String>, bool) {
     let service = &*shared.service;
-    match request {
+    let shutdown = matches!(request, Request::Shutdown);
+    let lines = match request {
         Request::Load { name, path } => {
             let outcome = resolve_load_path(shared.options.data_dir.as_deref(), &path)
                 .and_then(|resolved| {
@@ -245,10 +256,7 @@ fn respond(shared: &Shared, request: Request) -> (Vec<String>, bool) {
                         .map_err(|e| ServiceError::Protocol(format!("cannot read `{path}`: {e}")))
                 })
                 .and_then(|text| service.load_str(&name, &text));
-            match outcome {
-                Ok(s) => (render_load_response(&s), false),
-                Err(e) => (vec![render_error(&e)], false),
-            }
+            render(outcome, render_load_response)
         }
         Request::Query {
             name,
@@ -260,69 +268,53 @@ fn respond(shared: &Shared, request: Request) -> (Vec<String>, bool) {
                 Some(mode) => service.query_count(&name, &src, mode, limits),
                 None => service.query(&name, &src, limits),
             };
-            match outcome {
-                Ok(resp) => (render_query_response(&resp), false),
-                Err(e) => (vec![render_error(&e)], false),
-            }
+            render(outcome, render_query_response)
         }
-        Request::Explain { name, src } => match service.explain(&name, &src) {
-            Ok(e) => (render_explain_response(&e), false),
-            Err(e) => (vec![render_error(&e)], false),
-        },
+        Request::Explain { name, src } => {
+            render(service.explain(&name, &src), render_explain_response)
+        }
         // A `?-` goal marker distinguishes a whole Datalog program from a
         // single conjunctive query (CQ syntax has no `?-`).
-        Request::Analyze { name, src } if src.contains("?-") => {
-            match service.analyze_datalog(&name, &src) {
-                Ok(a) => (render_analyze_program_response(&a), false),
-                Err(e) => (vec![render_error(&e)], false),
-            }
+        Request::Analyze { name, src } if src.contains("?-") => render(
+            service.analyze_datalog(&name, &src),
+            render_analyze_program_response,
+        ),
+        Request::Analyze { name, src } => {
+            render(service.analyze(&name, &src), render_analyze_response)
         }
-        Request::Analyze { name, src } => match service.analyze(&name, &src) {
-            Ok(a) => (render_analyze_response(&a), false),
-            Err(e) => (vec![render_error(&e)], false),
-        },
-        Request::Stats => (render_stats_response(&service.stats()), false),
-        Request::Drop { name } => match service.drop_database(&name) {
-            Ok(existed) => (render_drop_response(&name, existed), false),
-            Err(e) => (vec![render_error(&e)], false),
-        },
+        Request::Stats => render_stats_response(&service.stats()),
+        Request::Drop { name } => render(service.drop_database(&name), |existed| {
+            render_drop_response(&name, *existed)
+        }),
         Request::Insert {
             name,
             relation,
             rows,
-        } => match service.insert_rows(&name, &relation, rows) {
-            Ok(s) => (render_mutation_response(&s), false),
-            Err(e) => (vec![render_error(&e)], false),
-        },
+        } => render(
+            service.insert_rows(&name, &relation, rows),
+            render_mutation_response,
+        ),
         Request::Delete {
             name,
             relation,
             rows,
-        } => match service.delete_rows(&name, &relation, rows) {
-            Ok(s) => (render_mutation_response(&s), false),
-            Err(e) => (vec![render_error(&e)], false),
-        },
+        } => render(
+            service.delete_rows(&name, &relation, rows),
+            render_mutation_response,
+        ),
         // Intercepted in `handle_connection` (the verb takes over the
         // connection); reaching here means a caller bypassed that path.
-        Request::Subscribe { .. } => (
-            vec![render_error(&ServiceError::Protocol(
-                "SUBSCRIBE requires a dedicated connection".into(),
-            ))],
-            false,
-        ),
-        Request::Persist => match service.persist() {
-            Ok(s) => (render_persist_response(&s), false),
-            Err(e) => (vec![render_error(&e)], false),
-        },
+        Request::Subscribe { .. } => vec![render_error(&ServiceError::Protocol(
+            "SUBSCRIBE requires a dedicated connection".into(),
+        ))],
+        Request::Persist => render(service.persist(), render_persist_response),
         // Graceful drain: block here until in-flight work finishes and the
         // final snapshot (if durable) lands, so `OK bye` really means the
         // state is sealed. A failed final snapshot is reported instead of
         // `OK bye` — the service is stopped either way.
-        Request::Shutdown => match service.drain() {
-            Ok(()) => (vec!["OK bye".to_string()], true),
-            Err(e) => (vec![render_error(&e)], true),
-        },
-    }
+        Request::Shutdown => render(service.drain(), |()| vec!["OK bye".to_string()]),
+    };
+    (lines, shutdown)
 }
 
 /// Did this I/O error come from the socket timeout? (Unix reports

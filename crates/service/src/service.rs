@@ -3,24 +3,54 @@
 //! One [`QueryService`] owns a [`Catalog`] of named databases, a two-level
 //! cache, and a fixed pool of worker threads behind a **bounded** job queue:
 //!
-//! * **Plan cache** (level 1): canonical query form
+//! * **Plan cache** (level 1): `(canonical query form, counting?)`
 //!   ([`pq_query::canonical_form`], computed from the parsed AST — so it is
 //!   whitespace-safe even inside string literals and alpha-renaming-safe) →
-//!   classification + committed [`Plan`]. Parsing runs per request, but all
-//!   the paper's expensive query-only preprocessing — classification per
-//!   Theorem 1/Fig. 1, GYO/join-tree work, color-coding hash-family choice
-//!   (Theorem 2) — is paid once per distinct query, not once per request.
-//!   This is exactly the preprocessing/evaluation cost split the hypertree
-//!   literature treats as decisive.
-//! * **Result cache** (level 2): `(canonical query form, database name,
-//!   generation, mentioned-relations epoch fingerprint)` → answer relation.
-//!   The key embeds the full canonical form (not just its 64-bit
-//!   fingerprint, so a hash collision can never cross-serve answers), the
+//!   the parsed query, its static analysis and the committed plan of the
+//!   requested result mode: a [`Plan`] for the answer relation, a
+//!   [`CountPlan`] for `@count`/`@count_by`. Parsing runs per request, but
+//!   all the paper's expensive query-only preprocessing — classification
+//!   per Theorem 1/Fig. 1, GYO/join-tree work, color-coding hash-family
+//!   choice (Theorem 2) — is paid once per distinct query, not once per
+//!   request. This is exactly the preprocessing/evaluation cost split the
+//!   hypertree literature treats as decisive.
+//! * **Result cache** (level 2): `(query text, database name, generation,
+//!   mentioned-relations epoch fingerprint)` → answer relation. The key
+//!   embeds a full rendering of the query (not just its 64-bit fingerprint,
+//!   so a hash collision can never cross-serve answers) — the canonical
+//!   form of its minimized core for answers, so equivalent spellings share
+//!   one entry, and `@count …` of the canonical form for counts — the
 //!   catalog generation (see [`crate::catalog`]), and an FNV-1a fingerprint
 //!   of the per-relation epochs of exactly the base relations the plan
 //!   reads ([`Plan::mentioned_relations`]). A mutation can therefore never
 //!   serve a stale answer — and a mutation to a relation the query never
 //!   touches does not invalidate its entry at all.
+//!
+//! **One request path.** Deciding, counting and enumerating `Q(d)` share
+//! the query-only half, so [`QueryService::query`] and
+//! [`QueryService::query_count`] are two modes of one private pipeline
+//! (`QueryService::request`), whose stages the other verbs reuse:
+//!
+//! 1. `prepare` — parse → validate → canonical form → the plan cache
+//!    (filled on a miss with the plan of the requested mode). Touches only
+//!    the plan cache. The only place query text is parsed.
+//! 2. `bind` — snapshot the named database (a brief catalog read lock) and
+//!    derive the result key.
+//! 3. `lookup` — the only result-cache probe. A hit is served on the
+//!    caller's thread.
+//! 4. `view` (answer mode only) — under the views lock, match the query
+//!    against the database's live views and answer by scanning one.
+//! 5. `run` — admit a job to the bounded queue and block for the worker,
+//!    which makes the one `match` on the result mode.
+//! 6. `fill` — the only result-cache write; also how `SUBSCRIBE` primes the
+//!    cache and how view maintenance patches it in place.
+//! 7. `finish` — stamp the latency, build the only [`QueryResponse`], and
+//!    map the outcome onto the metrics.
+//!
+//! `EXPLAIN` runs `prepare → bind → lookup` plus the matching half of
+//! `view`; `ANALYZE` runs `prepare` (and analyzes a text that parses but
+//! fails validation directly, from the AST `prepare` hands back);
+//! `SUBSCRIBE` `prepare`s the text in both modes and `fill`s both entries.
 //!
 //! **Incremental views** ([`pq_ivm`]): [`QueryService::subscribe`]
 //! registers a materialized view and returns a live delta stream. The
@@ -29,8 +59,10 @@
 //! plan under the service's governor limits (falling back to a full
 //! recompute on budget exhaustion), push signed answer deltas to
 //! subscribers, and **patch the result cache in place** — the maintained
-//! answer is installed under the post-mutation key, so the next `QUERY`
-//! for a subscribed query is a result-cache hit without re-evaluating.
+//! answer (and its cardinality, as the `@count`) is installed under the
+//! post-mutation key, so the next `QUERY` for a subscribed query is a
+//! result-cache hit without re-evaluating. A batch that changes nothing
+//! leaves generation, epochs, WAL and cache keys untouched.
 //!
 //! **Admission control**: evaluation jobs go through a bounded queue to a
 //! fixed worker pool. When the queue is full the request is rejected
@@ -49,17 +81,18 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use pq_analyze::Analysis;
 use pq_core::hypergraph::HypertreeDecomposition;
 use pq_core::{
     count_relation, plan, plan_count, view_scan, CountChoice, CountPlan, EngineChoice, Plan,
     PlannerOptions,
 };
 use pq_count::QueryCount;
-use pq_data::{loader, DataError, Database, Relation, Tuple};
+use pq_data::{loader, Database, Relation, Tuple};
 use pq_engine::governor::{CancellationToken, ExecutionContext};
 use pq_exec::Pool;
 use pq_ivm::{MaintainOutcome, RelationDelta, ViewQuery, ViewRegistry};
-use pq_query::{canonical_form, parse_cq, ConjunctiveQuery};
+use pq_query::{canonical_form, parse_cq, ConjunctiveQuery, QueryError};
 
 use crate::cache::ShardedCache;
 use crate::catalog::{Catalog, DbSnapshot};
@@ -115,7 +148,8 @@ pub struct ServiceConfig {
     /// Bounded job-queue depth; a full queue rejects with
     /// [`ServiceError::Overloaded`].
     pub queue_depth: usize,
-    /// Plan-cache capacity in entries (0 disables).
+    /// Plan-cache capacity in entries, answer plans and count plans
+    /// together (0 disables).
     pub plan_cache_capacity: usize,
     /// Result-cache capacity in entries (0 disables).
     pub result_cache_capacity: usize,
@@ -374,44 +408,100 @@ pub enum CountMode {
     Grouped(Vec<String>),
 }
 
-/// A parsed, classified, planned query — the plan-cache payload.
+/// The committed plan of a [`Prepared`] query: one variant per result mode.
 #[derive(Debug)]
-pub struct PlannedQuery {
-    /// The parsed AST.
-    pub query: ConjunctiveQuery,
-    /// The committed plan.
-    pub plan: Plan,
-    /// Canonical form ([`pq_query::canonical_form`]) — the cache-key
-    /// component identifying the query exactly.
-    pub canonical: Arc<str>,
-    /// Structural fingerprint (display/wire identifier; a hash of
-    /// `canonical`, so it is *not* used alone as a cache key).
-    pub fingerprint: u64,
-    /// The base relations the plan reads ([`Plan::mentioned_relations`]),
-    /// sorted — the relations whose epochs key this query's cached results.
-    pub mentions: Vec<String>,
-    /// Canonical form of the minimized core — the `PQA803`
-    /// equivalence-class (semantic) cache key. Equals
-    /// [`PlannedQuery::canonical`] when minimization changed nothing;
-    /// when it differs, every query whose core is alpha-equivalent shares
-    /// one result-cache entry under this key.
-    pub semantic: Arc<str>,
-    /// Structural fingerprint of the minimized core (the wire
-    /// `equivalence-class` identifier; a hash of `semantic`, so it is
-    /// *not* used alone as a cache key).
-    pub semantic_fingerprint: u64,
+enum PreparedPlan {
+    /// The answer relation itself (`QUERY`, `EXPLAIN`, `ANALYZE`, views).
+    Answer(Plan),
+    /// `@count` and `@count_by(…)`, which share one counting plan.
+    Count(CountPlan),
 }
 
-/// `(semantic query form, db name, generation, mentions fingerprint)`.
-/// The semantic form — the canonical rendering of the query's minimized
-/// core, not its fingerprint — keys results, so even a 64-bit hash
-/// collision between distinct queries only costs a miss, never a wrong
-/// answer, while queries that minimize to alpha-equivalent cores share
-/// one entry (the `PQA803` re-keying). The last component hashes the per-relation epochs of
+/// Everything derived from the query text alone — the payload of the one
+/// plan cache, keyed by `(canonical form, counting?)`: a parsed, validated,
+/// classified query with the plan of its result mode and the parts of its
+/// result-cache key that do not depend on the data.
+#[derive(Debug)]
+struct Prepared {
+    /// The parsed AST.
+    query: ConjunctiveQuery,
+    /// The committed plan, and the two facts about it every stage reads
+    /// whatever its kind: the engine label and the recommended intra-query
+    /// parallelism degree.
+    plan: PreparedPlan,
+    engine: &'static str,
+    parallelism: usize,
+    /// Canonical form ([`pq_query::canonical_form`]), identifying the query
+    /// exactly.
+    canonical: Arc<str>,
+    /// Structural fingerprint (display/wire identifier; a hash of
+    /// `canonical`, so it is *not* used alone as a cache key).
+    fingerprint: u64,
+    /// The base relations the plan reads, sorted — the relations whose
+    /// epochs key this query's cached results.
+    mentions: Vec<String>,
+    /// The query component of the [`ResultKey`], computed once. For an
+    /// answer plan it is the canonical form of the minimized core — the
+    /// `PQA803` equivalence-class (semantic) key, equal to `canonical` when
+    /// minimization changed nothing; every query whose core is
+    /// alpha-equivalent shares one result-cache entry under it. For a count
+    /// plan it is `@count <canonical>`: the `@` can never start a canonical
+    /// form (those start with a head atom), so counts and plain answers of
+    /// one query occupy distinct entries.
+    result_text: Arc<str>,
+    /// Does `result_text` render the minimized core rather than the literal
+    /// query? A result hit then crossed canonical forms.
+    rekeyed: bool,
+    /// Structural fingerprint of the minimized core (the wire
+    /// `equivalence-class` identifier; like `fingerprint`, never a key).
+    semantic_fingerprint: u64,
+}
+
+impl Prepared {
+    fn analysis(&self) -> &Analysis {
+        match &self.plan {
+            PreparedPlan::Answer(p) => &p.analysis,
+            PreparedPlan::Count(p) => &p.analysis,
+        }
+    }
+
+    /// The plan's own diagnostics plus the schema pass against `db`,
+    /// rendered (`EXPLAIN` and `ANALYZE` print the same lines).
+    fn diagnostics(&self, db: &Database) -> Vec<String> {
+        let schema = pq_analyze::schema_diagnostics(&self.query, db);
+        self.analysis()
+            .diagnostics
+            .iter()
+            .chain(&schema)
+            .map(ToString::to_string)
+            .collect()
+    }
+}
+
+/// Why [`Inner::prepare`] refused a query text: the error, plus the AST
+/// when the text parsed but failed validation (`ANALYZE` explains those).
+struct Rejected {
+    error: QueryError,
+    query: Option<Box<ConjunctiveQuery>>,
+}
+
+impl From<Rejected> for ServiceError {
+    fn from(r: Rejected) -> Self {
+        r.error.into()
+    }
+}
+
+/// `(query text, db name, generation, mentions fingerprint)`.
+/// The query text is [`Prepared::result_text`] (for `@count_by`, the group
+/// list and the canonical form) — a full rendering, not a fingerprint, so even a
+/// 64-bit hash collision between distinct queries only costs a miss, never
+/// a wrong answer. The last component hashes the per-relation epochs of
 /// the relations the plan actually reads (see [`mentions_fingerprint`]):
 /// within one generation the epoch vector is monotone and never repeats
 /// (see [`Catalog::update`]), so a changed relation changes the key, while
-/// mutations elsewhere leave cached entries servable.
+/// mutations elsewhere leave cached entries servable. Counts use the same
+/// scheme, so IVM maintenance patches cached counts in place exactly like
+/// cached answers.
 type ResultKey = (Arc<str>, String, u64, u64);
 
 /// FNV-1a over the `(name, relation epoch)` pairs of the plan's mentioned
@@ -435,7 +525,21 @@ fn mentions_fingerprint(db: &Database, mentions: &[String]) -> u64 {
     h
 }
 
-/// The result-cache key for `planned` against `snap` (see [`ResultKey`]).
+/// The result-cache key of `prepared` against `snap`; `groups` is the
+/// `@count_by` list (`None` for plain answers and `@count`).
+fn result_key(prepared: &Prepared, groups: Option<&[String]>, snap: &DbSnapshot) -> ResultKey {
+    let text = match groups {
+        Some(groups) => format!("@count_by({}) {}", groups.join(","), prepared.canonical).into(),
+        None => Arc::clone(&prepared.result_text),
+    };
+    (
+        text,
+        snap.name.clone(),
+        snap.generation,
+        mentions_fingerprint(&snap.db, &prepared.mentions),
+    )
+}
+
 /// Build a governed execution context from resolved request limits. Also
 /// the maintenance governor: view maintenance runs under the service's
 /// default limits and the same cancellation token as queries.
@@ -453,66 +557,13 @@ fn governor_ctx(limits: RequestLimits, cancel: &CancellationToken) -> ExecutionC
     ctx
 }
 
-fn result_key(planned: &PlannedQuery, snap: &DbSnapshot) -> ResultKey {
-    (
-        Arc::clone(&planned.semantic),
-        snap.name.clone(),
-        snap.generation,
-        mentions_fingerprint(&snap.db, &planned.mentions),
-    )
-}
-
-/// A parsed, counting-planned query — the count-plan-cache payload
-/// (the `@count` analogue of [`PlannedQuery`]).
-#[derive(Debug)]
-struct PlannedCount {
-    /// The parsed AST.
-    query: ConjunctiveQuery,
-    /// The committed counting plan.
-    plan: CountPlan,
-    /// Canonical form of the query (shared with [`PlannedQuery`] keys; the
-    /// *result* key for a count is mode-prefixed, see
-    /// [`count_canonical`]).
-    canonical: Arc<str>,
-    /// Base relations the counting plan reads.
-    mentions: Vec<String>,
-}
-
-/// The canonical-form component of a count's [`ResultKey`]: the query's
-/// canonical form prefixed with the count mode, so `@count`,
-/// `@count_by(…)` and plain answers of the same query occupy distinct
-/// result-cache entries (the `@` prefix can never collide with a canonical
-/// form, which starts with a head atom).
-fn count_canonical(canonical: &str, mode: &CountMode) -> Arc<str> {
-    match mode {
-        CountMode::Total => format!("@count {canonical}").into(),
-        CountMode::Grouped(groups) => format!("@count_by({}) {canonical}", groups.join(",")).into(),
-    }
-}
-
-/// The result-cache key for a count of `planned` under `mode` against
-/// `snap` — same epoch-fingerprint scheme as [`result_key`], so IVM
-/// maintenance patches cached counts in place exactly like cached answers.
-fn count_result_key(planned: &PlannedCount, mode: &CountMode, snap: &DbSnapshot) -> ResultKey {
-    (
-        count_canonical(&planned.canonical, mode),
-        snap.name.clone(),
-        snap.generation,
-        mentions_fingerprint(&snap.db, &planned.mentions),
-    )
-}
-
-/// What an admitted job evaluates: a relation-producing query plan, or a
-/// counting plan (whose answer is rendered as a one-row / grouped `count`
-/// relation so the cache and wire shapes are shared).
-enum JobWork {
-    Evaluate(Arc<PlannedQuery>),
-    Count(Arc<PlannedCount>, CountMode),
-}
-
+/// An admitted evaluation: the prepared query (its plan variant says
+/// whether a relation or a count is wanted), the `@count_by` group list if
+/// any, the data, and the governor.
 struct Job {
-    work: JobWork,
-    snapshot: DbSnapshot,
+    prepared: Arc<Prepared>,
+    groups: Option<Vec<String>>,
+    db: Arc<Database>,
     ctx: ExecutionContext,
     reply: SyncSender<Result<Arc<Relation>>>,
 }
@@ -584,14 +635,11 @@ pub struct Subscription {
 struct SubEntry {
     db: String,
     view: String,
-    /// The planned form of the subscribed query when it is a CQ — used to
-    /// patch the result cache in place after maintenance. `None` for
+    /// The prepared forms whose result-cache entries maintenance patches in
+    /// place: the answer and the `@count` of a CQ view (the maintained
+    /// answer's cardinality *is* the view's exact distinct count). Empty for
     /// Datalog programs (the wire `QUERY` path does not serve programs).
-    planned: Option<Arc<PlannedQuery>>,
-    /// The counting plan of the same query — used to patch the cached
-    /// `@count` entry in place after maintenance (the maintained answer's
-    /// cardinality *is* the view's exact distinct count).
-    counted: Option<Arc<PlannedCount>>,
+    cached: Vec<Arc<Prepared>>,
     tx: Sender<SubscriptionUpdate>,
 }
 
@@ -609,11 +657,9 @@ struct ViewsState {
 
 struct Inner {
     catalog: Catalog,
-    plan_cache: ShardedCache<Arc<str>, PlannedQuery>,
-    /// Canonical query form → counting plan (the `@count` analogue of
-    /// `plan_cache`; the two are separate maps because their payloads
-    /// differ, but they share the capacity knob).
-    count_plan_cache: ShardedCache<Arc<str>, PlannedCount>,
+    /// `(canonical query form, counting?)` → [`Prepared`]: answer plans and
+    /// count plans of one query are separate entries of the one map.
+    plan_cache: ShardedCache<(Arc<str>, bool), Prepared>,
     result_cache: ShardedCache<ResultKey, Relation>,
     metrics: ServiceMetrics,
     config: ServiceConfig,
@@ -683,7 +729,6 @@ impl QueryService {
         let inner = Arc::new(Inner {
             catalog,
             plan_cache: ShardedCache::new(config.plan_cache_capacity, config.cache_shards),
-            count_plan_cache: ShardedCache::new(config.plan_cache_capacity, config.cache_shards),
             result_cache: ShardedCache::new(config.result_cache_capacity, config.cache_shards),
             metrics: ServiceMetrics::default(),
             exec: Pool::new(config.intra_query_threads.max(1)),
@@ -769,7 +814,7 @@ impl QueryService {
         ServiceMetrics::bump(&self.inner.metrics.loads);
         if views.registries.contains_key(name) {
             let snap = self.inner.catalog.snapshot(name)?;
-            self.refresh_views(&mut views, &snap);
+            self.maintain_views(&mut views, &snap, None);
         }
         Ok(LoadSummary {
             name: name.to_string(),
@@ -796,7 +841,7 @@ impl QueryService {
         ServiceMetrics::bump(&self.inner.metrics.mutations);
         if views.registries.contains_key(name) {
             let snap = self.inner.catalog.snapshot(name)?;
-            self.refresh_views(&mut views, &snap);
+            self.maintain_views(&mut views, &snap, None);
         }
         Ok(out)
     }
@@ -870,23 +915,14 @@ impl QueryService {
         // path follows), so maintenance passes observe mutations in the order
         // they were applied.
         let mut views = self.inner.views.lock().expect("views poisoned");
-        // Fail unknown relations before the journal machinery runs; the row
-        // methods inside `update` would reject them anyway, but only after a
-        // no-op WAL record had been appended.
-        if !self
-            .inner
-            .catalog
-            .snapshot(db_name)?
-            .db
-            .has_relation(relation)
-        {
-            return Err(DataError::UnknownRelation(relation.to_string()).into());
-        }
         let rel = relation.to_string();
+        // A batch that changes nothing — duplicates, absent rows, or one the
+        // row methods reject (unknown relation, wrong arity) — leaves the
+        // generation, the epochs, the WAL and so every cache key untouched.
         let delta = self
             .inner
             .catalog
-            .update(db_name, |db| -> Result<RelationDelta> {
+            .apply(db_name, true, |db| -> Result<RelationDelta> {
                 let (added, removed) = if delete {
                     (Vec::new(), db.delete_rows(&rel, &rows)?)
                 } else {
@@ -901,14 +937,11 @@ impl QueryService {
         ServiceMetrics::bump(&self.inner.metrics.mutations);
         let snap = self.inner.catalog.snapshot(db_name)?;
         let applied = delta.added.len() + delta.removed.len();
-        let mut views_maintained = 0;
-        let mut fallbacks = 0;
-        if applied > 0 {
-            if let Some(outcomes) = self.maintain_views(&mut views, &snap, &[delta]) {
-                views_maintained = outcomes.len();
-                fallbacks = outcomes.iter().filter(|o| o.fell_back).count();
-            }
-        }
+        let outcomes = if applied > 0 {
+            self.maintain_views(&mut views, &snap, Some(&[delta]))
+        } else {
+            Vec::new()
+        };
         Ok(MutationSummary {
             name: snap.name.clone(),
             relation: relation.to_string(),
@@ -917,8 +950,8 @@ impl QueryService {
             applied,
             generation: snap.generation,
             epoch: snap.epoch,
-            views_maintained,
-            fallbacks,
+            views_maintained: outcomes.len(),
+            fallbacks: outcomes.iter().filter(|o| o.fell_back).count(),
         })
     }
 
@@ -946,16 +979,15 @@ impl QueryService {
         self.check_admitting()?;
         let mut views = self.inner.views.lock().expect("views poisoned");
         let snap = self.inner.catalog.snapshot(db_name)?;
-        let (query, planned, counted) = if src.contains("?-") {
+        let (query, cached) = if src.contains("?-") {
             (
                 ViewQuery::Program(pq_query::parse_datalog(src)?),
-                None,
-                None,
+                Vec::new(),
             )
         } else {
-            let (planned, _) = self.planned(src)?;
-            let counted = self.planned_count(src).ok().map(|(pc, _)| pc);
-            (ViewQuery::Cq(planned.query.clone()), Some(planned), counted)
+            let (answer, _) = self.inner.prepare(src, false)?;
+            let (count, _) = self.inner.prepare(src, true)?;
+            (ViewQuery::Cq(answer.query.clone()), vec![answer, count])
         };
         let id = views.next_sub;
         let proposed = format!("sub-{id}");
@@ -975,25 +1007,15 @@ impl QueryService {
         }
         ServiceMetrics::bump(&self.inner.metrics.subscriptions_active);
         // Prime the result cache: the freshly materialized answer is exactly
-        // what a QUERY for the same text would produce.
-        if let Some(p) = &planned {
-            self.inner
-                .result_cache
-                .insert(result_key(p, &snap), Arc::clone(&rows));
-        }
-        // ...and the cached total count alongside it, so a `QUERY @count`
-        // for the view's text is a result-cache hit from the start.
-        if let Some(pc) = &counted {
-            self.prime_count_entry(pc, &snap, rows.len());
-        }
+        // what a QUERY (or QUERY @count) for the same text would produce.
+        self.fill_from_view(&cached, &snap, &rows);
         let (tx, rx) = mpsc::channel();
         views.subs.insert(
             id,
             SubEntry {
                 db: snap.name.clone(),
                 view: view_name,
-                planned,
-                counted,
+                cached,
                 tx,
             },
         );
@@ -1043,89 +1065,72 @@ impl QueryService {
         true
     }
 
-    /// Find the registered view (if any) on `db_name` that answers
-    /// `planned` by scan or projection — the `PQA801`/`PQA802` match run
-    /// against the database's *live* view registry (the plan cache is
-    /// shared across databases, so view matching cannot be baked into the
-    /// plan).
-    fn view_match(&self, planned: &PlannedQuery, db_name: &str) -> Option<pq_analyze::ViewMatch> {
-        let views = self.inner.views.lock().expect("views poisoned");
-        let registry = views.registries.get(db_name)?;
-        let shapes = registry.cq_shapes();
-        if shapes.is_empty() {
-            return None;
-        }
-        let q = planned.plan.analysis.effective(&planned.query);
-        let limit = self.inner.config.planner.analysis.containment_atom_limit;
-        pq_analyze::match_against_views(q, &shapes, limit)
-    }
-
-    /// The name of the view that would answer `planned` on `db_name`
-    /// right now (for `EXPLAIN`'s `answered-from view` line).
-    fn view_match_name(&self, planned: &PlannedQuery, db_name: &str) -> Option<String> {
-        self.view_match(planned, db_name).map(|m| m.view)
-    }
-
-    /// Answer `planned` from a registered view's maintained relation:
-    /// match against the database's CQ-shaped views and project the
-    /// maintained answer onto the query's head (an `O(|view|)` scan — no
-    /// join evaluation). Returns the answer plus a snapshot taken under
-    /// the views lock: maintenance runs under that lock, so the maintained
-    /// relation reflects exactly the snapshot's epochs and the result is
-    /// safe to cache under the snapshot's key.
-    fn view_answer(
+    /// The matching half of the view stage: the registered view (if any) on
+    /// `db_name` that answers `prepared` by scan or projection — the
+    /// `PQA801`/`PQA802` match run against the database's *live* view
+    /// registry (the plan cache is shared across databases, so view
+    /// matching cannot be baked into the plan). The caller holds the views
+    /// lock.
+    fn view_match<'v>(
         &self,
-        planned: &PlannedQuery,
+        views: &'v ViewsState,
+        prepared: &Prepared,
         db_name: &str,
-    ) -> Option<(Arc<Relation>, DbSnapshot)> {
-        let views = self.inner.views.lock().expect("views poisoned");
+    ) -> Option<(&'v ViewRegistry, pq_analyze::ViewMatch)> {
         let registry = views.registries.get(db_name)?;
         let shapes = registry.cq_shapes();
         if shapes.is_empty() {
             return None;
         }
-        let q = planned.plan.analysis.effective(&planned.query);
+        let q = prepared.analysis().effective(&prepared.query);
         let limit = self.inner.config.planner.analysis.containment_atom_limit;
-        let m = pq_analyze::match_against_views(q, &shapes, limit)?;
+        Some((
+            registry,
+            pq_analyze::match_against_views(q, &shapes, limit)?,
+        ))
+    }
+
+    /// Stage `view` (answer mode only): answer `prepared` from a registered
+    /// view's maintained relation — match against the database's CQ-shaped
+    /// views and project the maintained answer onto the query's head (an
+    /// `O(|view|)` scan, no join evaluation). Returns the answer plus a
+    /// snapshot taken under the views lock: maintenance runs under that
+    /// lock, so the maintained relation reflects exactly the snapshot's
+    /// epochs and the result is safe to cache under the snapshot's key.
+    fn view(&self, prepared: &Prepared, db_name: &str) -> Option<(Arc<Relation>, DbSnapshot)> {
+        let views = self.inner.views.lock().expect("views poisoned");
+        let (registry, m) = self.view_match(&views, prepared, db_name)?;
         let answer = registry.answer(&m.view)?;
         let snap = self.inner.catalog.snapshot(db_name).ok()?;
         // Rebuild under the query's own head attributes even for exact
         // matches, so the response is byte-identical to direct evaluation.
+        let q = prepared.analysis().effective(&prepared.query);
         let rows = view_scan(q, &answer, &m.projection).ok()?;
         Some((Arc::new(rows), snap))
     }
 
-    /// Run the maintenance plans of every view on `snap`'s database against
-    /// `deltas` and publish the outcomes. `None` when it has no views.
+    /// Bring every view on `snap`'s database up to date and publish the
+    /// outcomes: incrementally from `deltas`, or — after a wholesale
+    /// replacement, where no row deltas exist — from scratch. Empty when the
+    /// database has no views.
     fn maintain_views(
         &self,
         views: &mut ViewsState,
         snap: &DbSnapshot,
-        deltas: &[RelationDelta],
-    ) -> Option<Vec<MaintainOutcome>> {
-        let limits = self.inner.config.default_limits;
-        let cancel = &self.inner.cancel;
-        let start = Instant::now();
-        let outcomes = views
-            .registries
-            .get_mut(&snap.name)?
-            .maintain(&snap.db, deltas, || governor_ctx(limits, cancel));
-        self.publish_outcomes(views, snap, &outcomes, start.elapsed());
-        Some(outcomes)
-    }
-
-    /// Recompute every view on `snap`'s database from scratch (used after
-    /// wholesale replacements, where no row deltas exist) and publish the
-    /// resulting answer diffs.
-    fn refresh_views(&self, views: &mut ViewsState, snap: &DbSnapshot) {
-        let limits = self.inner.config.default_limits;
-        let cancel = &self.inner.cancel;
-        let start = Instant::now();
+        deltas: Option<&[RelationDelta]>,
+    ) -> Vec<MaintainOutcome> {
         let Some(registry) = views.registries.get_mut(&snap.name) else {
-            return;
+            return Vec::new();
         };
-        let outcomes = registry.refresh(&snap.db, || governor_ctx(limits, cancel));
+        let (limits, cancel) = (self.inner.config.default_limits, &self.inner.cancel);
+        let ctx = || governor_ctx(limits, cancel);
+        let start = Instant::now();
+        let outcomes = match deltas {
+            Some(deltas) => registry.maintain(&snap.db, deltas, ctx),
+            None => registry.refresh(&snap.db, ctx),
+        };
         self.publish_outcomes(views, snap, &outcomes, start.elapsed());
+        outcomes
     }
 
     /// Fan one maintenance pass out: record its latency and fallbacks, patch
@@ -1156,17 +1161,7 @@ impl QueryService {
                     continue;
                 }
                 if !o.dropped {
-                    if let Some(p) = &sub.planned {
-                        self.inner
-                            .result_cache
-                            .insert(result_key(p, snap), Arc::clone(&o.answer));
-                    }
-                    // Patch the cached `@count` in place too: the
-                    // maintained answer's cardinality is the view's exact
-                    // distinct count under the post-mutation key.
-                    if let Some(pc) = &sub.counted {
-                        self.prime_count_entry(pc, snap, o.answer.len());
-                    }
+                    self.fill_from_view(&sub.cached, snap, &o.answer);
                 }
                 if !o.delta.is_empty() || o.dropped {
                     let update = SubscriptionUpdate {
@@ -1192,19 +1187,27 @@ impl QueryService {
         }
     }
 
-    /// Install `cardinality` as the cached `@count` answer for `pc`
-    /// against `snap` (the count analogue of the result-cache patch:
-    /// IVM writes update cached counts in place, keyed by the same
-    /// relation-epoch fingerprint).
-    fn prime_count_entry(&self, pc: &PlannedCount, snap: &DbSnapshot, cardinality: usize) {
-        let count = QueryCount {
-            distinct: cardinality as u128,
-            assignments: cardinality as u128,
-        };
-        if let Ok(rel) = count_relation(&count) {
-            self.inner
-                .result_cache
-                .insert(count_result_key(pc, &CountMode::Total, snap), Arc::new(rel));
+    /// Install a view's maintained `answer` under `snap`'s keys for each of
+    /// its `cached` forms: the answer itself, and its cardinality as the
+    /// `@count` (the maintained answer is the view's exact distinct answer
+    /// set). This is how `SUBSCRIBE` primes the result cache and how IVM
+    /// patches it in place after a mutation.
+    fn fill_from_view(&self, cached: &[Arc<Prepared>], snap: &DbSnapshot, answer: &Arc<Relation>) {
+        for p in cached {
+            let rows = match &p.plan {
+                PreparedPlan::Answer(_) => Arc::clone(answer),
+                PreparedPlan::Count(_) => {
+                    let n = answer.len() as u128;
+                    let Ok(count) = count_relation(&QueryCount {
+                        distinct: n,
+                        assignments: n,
+                    }) else {
+                        continue;
+                    };
+                    Arc::new(count)
+                }
+            };
+            self.inner.fill(result_key(p, None, snap), rows);
         }
     }
 
@@ -1279,72 +1282,6 @@ impl QueryService {
 
     // ---- planning ----
 
-    /// Plan-cache lookup/population. Returns the planned query and whether
-    /// it was already cached.
-    fn planned(&self, src: &str) -> Result<(Arc<PlannedQuery>, bool)> {
-        // Parse before the cache lookup: the key must identify the query
-        // exactly, and no text normalization is safe (whitespace inside a
-        // string literal is significant), so the key is the AST's canonical
-        // form. A hit still skips the expensive half — classification and
-        // planning.
-        let query = parse_cq(src)?;
-        query.validate()?;
-        let key: Arc<str> = canonical_form(&query).into();
-        if let Some(hit) = self.inner.plan_cache.get(&key) {
-            ServiceMetrics::bump(&self.inner.metrics.plan_hits);
-            return Ok((hit, true));
-        }
-        ServiceMetrics::bump(&self.inner.metrics.plan_misses);
-        let plan = plan(&query, &self.inner.config.planner);
-        let mentions = plan.mentioned_relations(&query);
-        // The semantic key: canonical form of the minimized core. When the
-        // analyzer shrank the query, results are cached under the *core*'s
-        // rendering, so the redundant original and its core (and any other
-        // query minimizing to the same core) share one entry.
-        let (semantic, semantic_fingerprint) = match &plan.analysis.rewritten {
-            Some(core) => (Arc::from(canonical_form(core)), core.fingerprint()),
-            None => (Arc::clone(&key), query.fingerprint()),
-        };
-        let planned = Arc::new(PlannedQuery {
-            fingerprint: query.fingerprint(),
-            plan,
-            canonical: Arc::clone(&key),
-            query,
-            mentions,
-            semantic,
-            semantic_fingerprint,
-        });
-        self.inner.plan_cache.insert(key, Arc::clone(&planned));
-        Ok((planned, false))
-    }
-
-    /// Count-plan-cache lookup/population — [`QueryService::planned`] for
-    /// the counting problem. The counting plan runs the analyzer with the
-    /// `PQA7xx` pass on and commits to a [`CountChoice`]; it is cached
-    /// under the same canonical form, in its own map.
-    fn planned_count(&self, src: &str) -> Result<(Arc<PlannedCount>, bool)> {
-        let query = parse_cq(src)?;
-        query.validate()?;
-        let key: Arc<str> = canonical_form(&query).into();
-        if let Some(hit) = self.inner.count_plan_cache.get(&key) {
-            ServiceMetrics::bump(&self.inner.metrics.plan_hits);
-            return Ok((hit, true));
-        }
-        ServiceMetrics::bump(&self.inner.metrics.plan_misses);
-        let plan = plan_count(&query, &self.inner.config.planner);
-        let mentions = plan.mentioned_relations(&query);
-        let planned = Arc::new(PlannedCount {
-            plan,
-            canonical: Arc::clone(&key),
-            query,
-            mentions,
-        });
-        self.inner
-            .count_plan_cache
-            .insert(key, Arc::clone(&planned));
-        Ok((planned, false))
-    }
-
     /// Classify/plan `src` (through the plan cache) and report where an
     /// execution against `db_name` would land.
     ///
@@ -1354,29 +1291,25 @@ impl QueryService {
     /// [`ServiceError::ShuttingDown`] after [`QueryService::shutdown`].
     pub fn explain(&self, db_name: &str, src: &str) -> Result<Explanation> {
         self.check_admitting()?;
-        let (planned, plan_was_cached) = self.planned(src)?;
-        let snap = self.inner.catalog.snapshot(db_name)?;
-        let key = result_key(&planned, &snap);
-        // Peek without polluting hit/miss statistics? The cache counts every
-        // probe; EXPLAIN is rare enough that honesty is fine.
-        let result_is_cached = self.inner.result_cache.get(&key).is_some();
-        let answered_from_view = self.view_match_name(&planned, db_name);
-        let c = &planned.plan.classification;
-        let a = &planned.plan.analysis;
-        let mut diagnostics: Vec<String> = a.diagnostics.iter().map(ToString::to_string).collect();
-        diagnostics.extend(
-            pq_analyze::schema_diagnostics(&planned.query, &snap.db)
-                .iter()
-                .map(ToString::to_string),
-        );
+        let (prepared, plan_was_cached) = self.inner.prepare(src, false)?;
+        let (snap, key) = self.inner.bind(&prepared, None, db_name)?;
+        // The probe moves the cache's own hit/miss counters but not the
+        // service's `result_hits`/`result_misses`: nothing was served.
+        let result_is_cached = self.inner.lookup(&key).is_some();
+        let answered_from_view = {
+            let views = self.inner.views.lock().expect("views poisoned");
+            self.view_match(&views, &prepared, db_name)
+                .map(|(_, m)| m.view)
+        };
+        let a = prepared.analysis();
         let r = &a.report;
         Ok(Explanation {
-            fingerprint: planned.fingerprint,
-            engine: planned.plan.engine,
-            summary: c.summary,
-            q: c.q,
-            v: c.v,
-            color_parameter: c.color_parameter,
+            fingerprint: prepared.fingerprint,
+            engine: prepared.engine,
+            summary: r.summary,
+            q: r.q,
+            v: r.v,
+            color_parameter: r.color_parameter,
             hypertree_width: r.hypertree_width,
             width_exact: r.width_exact,
             decomposition: r.decomposition.as_ref().map(HypertreeDecomposition::shape),
@@ -1392,10 +1325,10 @@ impl QueryService {
                 "cold"
             },
             answered_from_view,
-            equivalence_class: planned.semantic_fingerprint,
+            equivalence_class: prepared.semantic_fingerprint,
             provably_empty: a.provably_empty(),
             minimized: a.rewritten.as_ref().map(ToString::to_string),
-            diagnostics,
+            diagnostics: prepared.diagnostics(&snap.db),
             generation: snap.generation,
             epoch: snap.epoch,
         })
@@ -1415,39 +1348,35 @@ impl QueryService {
     pub fn analyze(&self, db_name: &str, src: &str) -> Result<AnalysisReport> {
         self.check_admitting()?;
         let snap = self.inner.catalog.snapshot(db_name)?;
-        let query = parse_cq(src)?;
-        let (fingerprint, engine, analysis, diagnostics, plan_was_cached) = if query
-            .validate()
-            .is_ok()
-        {
-            let (planned, cached) = self.planned(src)?;
-            let a = &planned.plan.analysis;
-            let mut lines: Vec<String> = a.diagnostics.iter().map(ToString::to_string).collect();
-            lines.extend(
-                pq_analyze::schema_diagnostics(&planned.query, &snap.db)
-                    .iter()
-                    .map(ToString::to_string),
-            );
-            (
-                planned.fingerprint,
-                planned.plan.engine,
-                a.clone(),
-                lines,
-                cached,
-            )
-        } else {
-            // Invalid queries never reach the planner or its cache.
-            let direct =
-                pq_analyze::analyze_with_db(&query, &snap.db, &self.inner.config.planner.analysis);
-            let lines = direct.diagnostics.iter().map(ToString::to_string).collect();
-            (
-                query.fingerprint(),
-                direct.report.engine_hint,
-                direct,
-                lines,
-                false,
-            )
-        };
+        let (prepared, direct);
+        let (fingerprint, engine, analysis, diagnostics, plan_was_cached) =
+            match self.inner.prepare(src, false) {
+                Ok((p, cached)) => {
+                    prepared = p;
+                    (
+                        prepared.fingerprint,
+                        prepared.engine,
+                        prepared.analysis(),
+                        prepared.diagnostics(&snap.db),
+                        cached,
+                    )
+                }
+                // Invalid queries never reach the planner or its cache.
+                Err(Rejected {
+                    query: Some(query), ..
+                }) => {
+                    let opts = &self.inner.config.planner.analysis;
+                    direct = pq_analyze::analyze_with_db(&query, &snap.db, opts);
+                    (
+                        query.fingerprint(),
+                        direct.report.engine_hint,
+                        &direct,
+                        direct.diagnostics.iter().map(ToString::to_string).collect(),
+                        false,
+                    )
+                }
+                Err(rejected) => return Err(rejected.into()),
+            };
         let r = &analysis.report;
         Ok(AnalysisReport {
             fingerprint,
@@ -1531,80 +1460,7 @@ impl QueryService {
     /// [`ServiceError::UnknownDatabase`] for an unknown `db_name`;
     /// [`ServiceError::ShuttingDown`] after [`QueryService::shutdown`].
     pub fn query(&self, db_name: &str, src: &str, limits: RequestLimits) -> Result<QueryResponse> {
-        let start = Instant::now();
-        self.check_admitting()?;
-        let m = &self.inner.metrics;
-        let outcome = (|| {
-            let (planned, plan_hit) = self.planned(src)?;
-            let snap = self.inner.catalog.snapshot(db_name)?;
-            let key = result_key(&planned, &snap);
-            if let Some(rows) = self.inner.result_cache.get(&key) {
-                ServiceMetrics::bump(&m.result_hits);
-                if planned.semantic != planned.canonical {
-                    // The hit was keyed by the minimized core, not the
-                    // literal text — sharing only the PQA803 re-keying
-                    // makes possible.
-                    ServiceMetrics::bump(&m.semantic_cache_hits);
-                }
-                return Ok(QueryResponse {
-                    rows,
-                    engine: planned.plan.engine,
-                    cache: CacheOutcome::ResultHit,
-                    generation: snap.generation,
-                    epoch: snap.epoch,
-                    latency: start.elapsed(),
-                });
-            }
-            ServiceMetrics::bump(&m.result_misses);
-            // Before evaluating: can a registered view's maintained
-            // relation answer this query by scan/projection (PQA801/802)?
-            if let Some((rows, vsnap)) = self.view_answer(&planned, db_name) {
-                ServiceMetrics::bump(&m.view_answered_queries);
-                self.inner
-                    .result_cache
-                    .insert(result_key(&planned, &vsnap), Arc::clone(&rows));
-                return Ok(QueryResponse {
-                    rows,
-                    engine: "view-scan",
-                    cache: if plan_hit {
-                        CacheOutcome::PlanHit
-                    } else {
-                        CacheOutcome::Miss
-                    },
-                    generation: vsnap.generation,
-                    epoch: vsnap.epoch,
-                    latency: start.elapsed(),
-                });
-            }
-            let rows = self.admit_and_run(
-                JobWork::Evaluate(Arc::clone(&planned)),
-                snap.clone(),
-                limits,
-            )?;
-            Ok(QueryResponse {
-                rows,
-                engine: planned.plan.engine,
-                cache: if plan_hit {
-                    CacheOutcome::PlanHit
-                } else {
-                    CacheOutcome::Miss
-                },
-                generation: snap.generation,
-                epoch: snap.epoch,
-                latency: start.elapsed(),
-            })
-        })();
-        match &outcome {
-            Ok(resp) => {
-                ServiceMetrics::bump(&m.queries_served);
-                m.latency.record(resp.latency);
-            }
-            Err(ServiceError::Overloaded { .. }) => ServiceMetrics::bump(&m.rejected_overload),
-            Err(e) if e.is_resource_exhausted() => ServiceMetrics::bump(&m.resource_exhausted),
-            Err(ServiceError::ShuttingDown) => {}
-            Err(_) => ServiceMetrics::bump(&m.errors),
-        }
-        outcome
+        self.request(db_name, src, None, limits)
     }
 
     /// Count the answers of `src` against the named database under
@@ -1631,71 +1487,80 @@ impl QueryService {
         mode: &CountMode,
         limits: RequestLimits,
     ) -> Result<QueryResponse> {
-        let start = Instant::now();
-        self.check_admitting()?;
-        let m = &self.inner.metrics;
-        let outcome = (|| {
-            let (planned, plan_hit) = self.planned_count(src)?;
-            let snap = self.inner.catalog.snapshot(db_name)?;
-            let key = count_result_key(&planned, mode, &snap);
-            if let Some(rows) = self.inner.result_cache.get(&key) {
-                ServiceMetrics::bump(&m.result_hits);
-                return Ok(QueryResponse {
-                    rows,
-                    engine: planned.plan.engine,
-                    cache: CacheOutcome::ResultHit,
-                    generation: snap.generation,
-                    epoch: snap.epoch,
-                    latency: start.elapsed(),
-                });
-            }
-            ServiceMetrics::bump(&m.result_misses);
-            let rows = self.admit_and_run(
-                JobWork::Count(Arc::clone(&planned), mode.clone()),
-                snap.clone(),
-                limits,
-            )?;
-            Ok(QueryResponse {
-                rows,
-                engine: planned.plan.engine,
-                cache: if plan_hit {
-                    CacheOutcome::PlanHit
-                } else {
-                    CacheOutcome::Miss
-                },
-                generation: snap.generation,
-                epoch: snap.epoch,
-                latency: start.elapsed(),
-            })
-        })();
-        match &outcome {
-            Ok(resp) => {
-                ServiceMetrics::bump(&m.queries_served);
-                ServiceMetrics::bump(&m.count_queries);
-                m.latency.record(resp.latency);
-                m.count_latency.record(resp.latency);
-            }
-            Err(ServiceError::Overloaded { .. }) => ServiceMetrics::bump(&m.rejected_overload),
-            Err(e) if e.is_resource_exhausted() => ServiceMetrics::bump(&m.resource_exhausted),
-            Err(ServiceError::ShuttingDown) => {}
-            Err(_) => ServiceMetrics::bump(&m.errors),
-        }
-        outcome
+        self.request(db_name, src, Some(mode), limits)
     }
 
-    fn admit_and_run(
+    /// The one request path behind [`QueryService::query`] and
+    /// [`QueryService::query_count`] (`mode` is `None` for a plain answer):
+    /// `prepare → bind → lookup → view → run → fill → finish`, each stage
+    /// described in the module docs.
+    fn request(
         &self,
-        work: JobWork,
-        snapshot: DbSnapshot,
+        db_name: &str,
+        src: &str,
+        mode: Option<&CountMode>,
+        limits: RequestLimits,
+    ) -> Result<QueryResponse> {
+        let start = Instant::now();
+        self.check_admitting()?;
+        let inner = &*self.inner;
+        let m = &inner.metrics;
+        let served = (|| {
+            let (prepared, plan_hit) = inner.prepare(src, mode.is_some())?;
+            let groups = match mode {
+                Some(CountMode::Grouped(groups)) => Some(groups.as_slice()),
+                _ => None,
+            };
+            let (snap, key) = inner.bind(&prepared, groups, db_name)?;
+            if let Some(rows) = inner.lookup(&key) {
+                ServiceMetrics::bump(&m.result_hits);
+                if prepared.rekeyed {
+                    // The hit was keyed by the minimized core, not the
+                    // literal text — sharing only the PQA803 re-keying
+                    // makes possible.
+                    ServiceMetrics::bump(&m.semantic_cache_hits);
+                }
+                return Ok((rows, prepared.engine, CacheOutcome::ResultHit, snap));
+            }
+            ServiceMetrics::bump(&m.result_misses);
+            let evaluated = if plan_hit {
+                CacheOutcome::PlanHit
+            } else {
+                CacheOutcome::Miss
+            };
+            // Before evaluating an answer: can a registered view's
+            // maintained relation serve it by scan/projection (PQA801/802)?
+            if mode.is_none() {
+                if let Some((rows, vsnap)) = self.view(&prepared, db_name) {
+                    ServiceMetrics::bump(&m.view_answered_queries);
+                    inner.fill(result_key(&prepared, None, &vsnap), Arc::clone(&rows));
+                    return Ok((rows, "view-scan", evaluated, vsnap));
+                }
+            }
+            let rows = self.run(&prepared, groups, &snap, limits)?;
+            inner.fill(key, Arc::clone(&rows));
+            Ok((rows, prepared.engine, evaluated, snap))
+        })();
+        self.finish(start, mode.is_some(), served)
+    }
+
+    /// Stage `run`: admit one evaluation to the bounded queue (rejecting
+    /// with [`ServiceError::Overloaded`] when it is full) and block for the
+    /// worker's answer.
+    fn run(
+        &self,
+        prepared: &Arc<Prepared>,
+        groups: Option<&[String]>,
+        snap: &DbSnapshot,
         limits: RequestLimits,
     ) -> Result<Arc<Relation>> {
         let limits = limits.or(self.inner.config.default_limits);
-        let ctx = governor_ctx(limits, &self.inner.cancel);
         let (reply_tx, reply_rx) = mpsc::sync_channel::<Result<Arc<Relation>>>(1);
         let job = Job {
-            work,
-            snapshot,
-            ctx,
+            prepared: Arc::clone(prepared),
+            groups: groups.map(<[String]>::to_vec),
+            db: Arc::clone(&snap.db),
+            ctx: governor_ctx(limits, &self.inner.cancel),
             reply: reply_tx,
         };
         {
@@ -1715,6 +1580,45 @@ impl QueryService {
         }
         ServiceMetrics::bump(&self.inner.metrics.jobs_admitted);
         reply_rx.recv().map_err(|_| ServiceError::ShuttingDown)?
+    }
+
+    /// Stage `finish`: stamp the latency, build the response, and account
+    /// for the outcome — the only place a request's fate reaches `STATS`.
+    fn finish(
+        &self,
+        start: Instant,
+        counting: bool,
+        served: Result<(Arc<Relation>, &'static str, CacheOutcome, DbSnapshot)>,
+    ) -> Result<QueryResponse> {
+        let m = &self.inner.metrics;
+        match served {
+            Ok((rows, engine, cache, snap)) => {
+                let latency = start.elapsed();
+                ServiceMetrics::bump(&m.queries_served);
+                m.latency.record(latency);
+                if counting {
+                    ServiceMetrics::bump(&m.count_queries);
+                    m.count_latency.record(latency);
+                }
+                Ok(QueryResponse {
+                    rows,
+                    engine,
+                    cache,
+                    generation: snap.generation,
+                    epoch: snap.epoch,
+                    latency,
+                })
+            }
+            Err(e) => {
+                match &e {
+                    ServiceError::Overloaded { .. } => ServiceMetrics::bump(&m.rejected_overload),
+                    e if e.is_resource_exhausted() => ServiceMetrics::bump(&m.resource_exhausted),
+                    ServiceError::ShuttingDown => {}
+                    _ => ServiceMetrics::bump(&m.errors),
+                }
+                Err(e)
+            }
+        }
     }
 
     // ---- observability & lifecycle ----
@@ -1745,8 +1649,9 @@ impl QueryService {
         (self.inner.plan_cache.len(), self.inner.result_cache.len())
     }
 
-    /// Drop both cache levels (counters persist). Mainly for benchmarks
-    /// that want repeatable cold runs.
+    /// Drop both cache levels — answer plans, count plans and results
+    /// (counters persist). Mainly for benchmarks that want repeatable cold
+    /// runs.
     pub fn clear_caches(&self) {
         self.inner.plan_cache.clear();
         self.inner.result_cache.clear();
@@ -1755,26 +1660,7 @@ impl QueryService {
     /// Stop the service: refuse new work, cancel in-flight governed
     /// evaluations cooperatively, and join the worker pool. Idempotent.
     pub fn shutdown(&self) {
-        if self.inner.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.inner.cancel.cancel();
-        // Dropping the subscription senders disconnects every update
-        // stream, so `SUBSCRIBE` loops observe the shutdown and end.
-        self.inner
-            .views
-            .lock()
-            .expect("views poisoned")
-            .subs
-            .clear();
-        // Dropping the sender disconnects the queue: workers drain what is
-        // already admitted (each job's context sees the cancelled token at
-        // its next clock check) and then exit.
-        self.job_tx.lock().expect("job_tx poisoned").take();
-        let handles = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
-        for h in handles {
-            let _ = h.join();
-        }
+        self.stop(true);
     }
 
     /// Gracefully drain the service: refuse new work, let already-admitted
@@ -1787,33 +1673,143 @@ impl QueryService {
     /// [`ServiceError::Durability`] when the final snapshot fails (the
     /// service is still stopped).
     pub fn drain(&self) -> Result<()> {
-        if self.inner.shutdown.swap(true, Ordering::AcqRel) {
-            return Ok(());
+        if self.stop(false) && self.inner.durability.is_some() {
+            self.inner.catalog.persist()?;
         }
-        // Subscriptions end (their senders drop), then the queue disconnects
-        // without cancelling: workers finish every admitted job under its
-        // own governor, then exit.
+        Ok(())
+    }
+
+    /// The teardown `shutdown` and `drain` share; `false` when the service
+    /// was already stopped. With `cancel`, admitted jobs see the cancelled
+    /// token at their next clock check; without it they finish under their
+    /// own governors.
+    fn stop(&self, cancel: bool) -> bool {
+        if self.inner.shutdown.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        if cancel {
+            self.inner.cancel.cancel();
+        }
+        // Dropping the subscription senders disconnects every update
+        // stream, so `SUBSCRIBE` loops observe the stop and end.
         self.inner
             .views
             .lock()
             .expect("views poisoned")
             .subs
             .clear();
+        // Dropping the sender disconnects the queue: workers drain what is
+        // already admitted and then exit.
         self.job_tx.lock().expect("job_tx poisoned").take();
         let handles = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
         for h in handles {
             let _ = h.join();
         }
-        if self.inner.durability.is_some() {
-            self.inner.catalog.persist()?;
-        }
-        Ok(())
+        true
     }
 }
 
 impl Drop for QueryService {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+impl Inner {
+    /// Stage `prepare`: parse → validate → canonical form → the plan cache,
+    /// filling it on a miss with the plan of the requested result mode.
+    /// Returns the prepared query and whether it was already cached.
+    fn prepare(
+        &self,
+        src: &str,
+        counting: bool,
+    ) -> std::result::Result<(Arc<Prepared>, bool), Rejected> {
+        // Parse before the cache lookup: the key must identify the query
+        // exactly, and no text normalization is safe (whitespace inside a
+        // string literal is significant), so the key is the AST's canonical
+        // form. A hit still skips the expensive half — classification and
+        // planning.
+        let query = parse_cq(src).map_err(|error| Rejected { error, query: None })?;
+        if let Err(error) = query.validate() {
+            return Err(Rejected {
+                error,
+                query: Some(Box::new(query)),
+            });
+        }
+        let key = (Arc::<str>::from(canonical_form(&query)), counting);
+        if let Some(hit) = self.plan_cache.get(&key) {
+            ServiceMetrics::bump(&self.metrics.plan_hits);
+            return Ok((hit, true));
+        }
+        ServiceMetrics::bump(&self.metrics.plan_misses);
+        let canonical = Arc::clone(&key.0);
+        let fingerprint = query.fingerprint();
+        let opts = &self.config.planner;
+        let prepared = Arc::new(if counting {
+            // The counting plan runs the analyzer with the `PQA7xx` pass on
+            // and commits to a `CountChoice`.
+            let plan = plan_count(&query, opts);
+            Prepared {
+                mentions: plan.mentioned_relations(&query),
+                engine: plan.engine,
+                parallelism: plan.parallelism,
+                result_text: format!("@count {canonical}").into(),
+                rekeyed: false,
+                semantic_fingerprint: fingerprint,
+                plan: PreparedPlan::Count(plan),
+                query,
+                canonical,
+                fingerprint,
+            }
+        } else {
+            let plan = plan(&query, opts);
+            // The semantic key: when the analyzer shrank the query, results
+            // are cached under the *core*'s rendering, so the redundant
+            // original and its core (and any other query minimizing to the
+            // same core) share one entry.
+            let (result_text, semantic_fingerprint) = match &plan.analysis.rewritten {
+                Some(core) => (Arc::from(canonical_form(core)), core.fingerprint()),
+                None => (Arc::clone(&canonical), fingerprint),
+            };
+            Prepared {
+                mentions: plan.mentioned_relations(&query),
+                engine: plan.engine,
+                parallelism: plan.parallelism,
+                rekeyed: result_text != canonical,
+                result_text,
+                semantic_fingerprint,
+                plan: PreparedPlan::Answer(plan),
+                query,
+                canonical,
+                fingerprint,
+            }
+        });
+        self.plan_cache.insert(key, Arc::clone(&prepared));
+        Ok((prepared, false))
+    }
+
+    /// Stage `bind`: snapshot the named database and derive the result key
+    /// of `prepared` against it.
+    fn bind(
+        &self,
+        prepared: &Prepared,
+        groups: Option<&[String]>,
+        db_name: &str,
+    ) -> Result<(DbSnapshot, ResultKey)> {
+        let snap = self.catalog.snapshot(db_name)?;
+        let key = result_key(prepared, groups, &snap);
+        Ok((snap, key))
+    }
+
+    /// Stage `lookup`: the only result-cache probe.
+    fn lookup(&self, key: &ResultKey) -> Option<Arc<Relation>> {
+        self.result_cache.get(key)
+    }
+
+    /// Stage `fill`: the only result-cache write — evaluated answers, view
+    /// scans, `SUBSCRIBE` priming and IVM's in-place patches all land here.
+    fn fill(&self, key: ResultKey, rows: Arc<Relation>) {
+        self.result_cache.insert(key, rows);
     }
 }
 
@@ -1827,71 +1823,54 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, inner: &Inner) {
             Err(_) => return,
         };
         let Ok(job) = job else { return };
+        let prepared = &job.prepared;
         // Intra-query fan-out: when both the service knob and the plan's
         // recommended degree exceed 1, the request's context carries the
         // exec pool (which moves its limits into a shared envelope). The
         // engines produce the same relation (or the same exact count) at any
         // degree, so this choice is invisible to the caller (except in
         // STATS).
-        let parallelism = match &job.work {
-            JobWork::Evaluate(planned) => planned.plan.parallelism,
-            JobWork::Count(planned, _) => planned.plan.parallelism,
-        };
-        let ctx = if inner.exec.threads() > 1 && parallelism > 1 {
+        let ctx = if inner.exec.threads() > 1 && prepared.parallelism > 1 {
             ServiceMetrics::bump(&inner.metrics.parallel_queries);
             job.ctx.with_pool(&inner.exec)
         } else {
             job.ctx
         };
-        let db = &job.snapshot.db;
-        let out = match &job.work {
-            JobWork::Evaluate(planned) => {
-                if let EngineChoice::Hypertree(d) = &planned.plan.choice {
+        let (q, db) = (&prepared.query, &*job.db);
+        // Counts are rendered as a one-row / grouped `count` relation, so
+        // the cache and wire shapes are shared with plain answers.
+        let out = match &prepared.plan {
+            PreparedPlan::Answer(plan) => {
+                if let EngineChoice::Hypertree(d) = &plan.choice {
                     inner.metrics.record_hypertree_width(d.width());
                 }
-                let out = planned
-                    .plan
-                    .execute_governed(&planned.query, db, &ctx)
-                    .map(Arc::new)
-                    .map_err(ServiceError::from);
-                if let Ok(rows) = &out {
-                    let key = result_key(planned, &job.snapshot);
-                    inner.result_cache.insert(key, Arc::clone(rows));
-                }
-                out
+                plan.execute_governed(q, db, &ctx)
+                    .map_err(ServiceError::from)
             }
-            JobWork::Count(planned, mode) => {
-                if let CountChoice::Hypertree(d) = &planned.plan.choice {
+            PreparedPlan::Count(plan) => {
+                if let CountChoice::Hypertree(d) = &plan.choice {
                     inner.metrics.record_hypertree_width(d.width());
                 }
-                let out = match mode {
-                    CountMode::Total => planned
-                        .plan
-                        .execute_governed(&planned.query, db, &ctx)
-                        .and_then(|c| count_relation(&c)),
-                    CountMode::Grouped(groups) => planned
-                        .plan
-                        .execute_by_governed(&planned.query, db, groups, &ctx)
+                match &job.groups {
+                    Some(groups) => plan
+                        .execute_by_governed(q, db, groups, &ctx)
                         .and_then(|counted| counted.to_relation("count")),
+                    None => plan
+                        .execute_governed(q, db, &ctx)
+                        .and_then(|c| count_relation(&c)),
                 }
-                .map(Arc::new)
-                .map_err(ServiceError::from);
-                if let Ok(rows) = &out {
-                    let key = count_result_key(planned, mode, &job.snapshot);
-                    inner.result_cache.insert(key, Arc::clone(rows));
-                }
-                out
+                .map_err(ServiceError::from)
             }
         };
         // The requester may have vanished; nothing to do about it.
-        let _ = job.reply.send(out);
+        let _ = job.reply.send(out.map(Arc::new));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pq_data::tuple;
+    use pq_data::{tuple, DataError};
     use pq_engine::EngineError;
 
     const DB_TEXT: &str = "R(a, b):\n  1, 2\n  2, 3\nS(b, c):\n  2, 9\n  3, 7\n";
@@ -2755,5 +2734,173 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, ServiceError::ShuttingDown));
+    }
+
+    #[test]
+    fn mutations_that_change_nothing_leave_no_trace() {
+        let dir = std::env::temp_dir().join(format!("pq_service_noop_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let svc = QueryService::new(ServiceConfig {
+            durability: Some(DurabilityConfig {
+                fsync: crate::wal::FsyncPolicy::Never,
+                ..DurabilityConfig::new(&dir)
+            }),
+            ..Default::default()
+        });
+        svc.load_str("d", DB_TEXT).unwrap();
+        let src = "G(x) :- R(x, y).";
+        svc.query("d", src, RequestLimits::default()).unwrap();
+        let before = svc.snapshot("d").unwrap();
+        let appends = svc.stats().wal_appends;
+        // A duplicate insert and a delete of an absent row apply nothing...
+        let ins = svc.insert_rows("d", "R", vec![tuple![1, 2]]).unwrap();
+        assert_eq!((ins.applied, ins.generation), (0, before.generation));
+        let del = svc.delete_rows("d", "R", vec![tuple![70, 80]]).unwrap();
+        assert_eq!((del.applied, del.epoch), (0, before.epoch));
+        // ...and a wrong-arity insert is rejected outright.
+        assert!(matches!(
+            svc.insert_rows("d", "R", vec![tuple![1, 2, 3]]),
+            Err(ServiceError::Data(DataError::ArityMismatch { .. }))
+        ));
+        // None of the three journaled a record, moved the generation or the
+        // epoch, or cost the cached answer its key.
+        let after = svc.snapshot("d").unwrap();
+        assert_eq!(
+            (after.generation, after.epoch),
+            (before.generation, before.epoch)
+        );
+        assert_eq!(svc.stats().wal_appends, appends);
+        let warm = svc.query("d", src, RequestLimits::default()).unwrap();
+        assert_eq!(warm.cache, CacheOutcome::ResultHit);
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- the merged request path: one table over every verb ----
+
+    /// One request of [`every_verb_moves_the_same_counters_through_the_cache_levels`].
+    enum Op {
+        Query(&'static str, &'static str),
+        /// A query on `d` that a registered view must answer by scan.
+        Scan(&'static str),
+        Count(&'static str, &'static str),
+        CountBy(&'static str),
+        /// Query text (on `d`), expected `answer_source`.
+        Explain(&'static str, &'static str),
+        /// Query text, expected `plan_was_cached`.
+        Analyze(&'static str, bool),
+        Subscribe,
+        Insert,
+        ClearThenCount,
+    }
+
+    const CHAIN: &str = "G(x, c) :- R(x, y), S(y, c).";
+    const VIEW: &str = "V(x, y) :- R(x, y).";
+
+    /// Run `op`; the cache outcome when the verb reports one.
+    fn drive(svc: &QueryService, op: &Op) -> Option<CacheOutcome> {
+        let limits = RequestLimits::default();
+        let count = |db, src, mode| svc.query_count(db, src, &mode, limits).unwrap().cache;
+        match *op {
+            Op::Query(db, src) => Some(svc.query(db, src, limits).unwrap().cache),
+            Op::Scan(src) => {
+                let r = svc.query("d", src, limits).unwrap();
+                assert_eq!(r.engine, "view-scan");
+                Some(r.cache)
+            }
+            Op::Count(db, src) => Some(count(db, src, CountMode::Total)),
+            Op::CountBy(db) => Some(count(db, CHAIN, CountMode::Grouped(vec!["x".into()]))),
+            Op::Explain(src, source) => {
+                assert_eq!(svc.explain("d", src).unwrap().answer_source, source);
+                None
+            }
+            Op::Analyze(src, cached) => {
+                assert_eq!(svc.analyze("d", src).unwrap().plan_was_cached, cached);
+                None
+            }
+            Op::Subscribe => {
+                svc.subscribe("d", VIEW).unwrap();
+                None
+            }
+            Op::Insert => {
+                let ins = svc.insert_rows("d", "R", vec![tuple![9, 2]]).unwrap();
+                assert_eq!(ins.views_maintained, 1);
+                None
+            }
+            Op::ClearThenCount => {
+                svc.clear_caches();
+                assert_eq!(svc.cache_sizes(), (0, 0));
+                Some(count("d2", CHAIN, CountMode::Total))
+            }
+        }
+    }
+
+    #[test]
+    fn every_verb_moves_the_same_counters_through_the_cache_levels() {
+        use CacheOutcome::{Miss, PlanHit, ResultHit as Hit};
+        use Op::{
+            Analyze, ClearThenCount, Count, CountBy, Explain, Insert, Query, Scan, Subscribe,
+        };
+        let svc = service();
+        svc.load_str("d2", DB_TEXT).unwrap();
+        let counters = || {
+            let s = svc.stats();
+            let (plan, result) = (
+                [s.plan_hits, s.plan_misses],
+                [s.result_hits, s.result_misses],
+            );
+            let served = [s.semantic_cache_hits, s.queries_served, s.count_queries];
+            [plan.as_slice(), &result, &served].concat()
+        };
+        // Each row: the request, the cache outcome it reports, and the exact
+        // movement of [plan_hits, plan_misses, result_hits, result_misses,
+        // semantic_cache_hits, queries_served, count_queries]. The numbers
+        // were recorded on the commit before the answer and count paths were
+        // merged; only the last row differs from it, by design (the separate
+        // count-plan cache survived `clear_caches`).
+        let redundant = "G(x, c) :- R(x, y), S(y, c), R(x, y2).";
+        let (fresh, other, invalid) = ("G(x) :- R(x, y).", "G(y) :- S(y, c).", "G(z) :- R(x, y).");
+        let swapped = "G(y, x) :- R(x, y).";
+        let table = [
+            (Query("d", CHAIN), Some(Miss), [0, 1, 0, 1, 0, 1, 0]),
+            (Query("d2", CHAIN), Some(PlanHit), [1, 0, 0, 1, 0, 1, 0]),
+            (Query("d", CHAIN), Some(Hit), [1, 0, 1, 0, 0, 1, 0]),
+            // `@count` has its own plan entry; `@count_by` shares that plan
+            // but not the cached result.
+            (Count("d", CHAIN), Some(Miss), [0, 1, 0, 1, 0, 1, 1]),
+            (Count("d2", CHAIN), Some(PlanHit), [1, 0, 0, 1, 0, 1, 1]),
+            (Count("d", CHAIN), Some(Hit), [1, 0, 1, 0, 0, 1, 1]),
+            (CountBy("d"), Some(PlanHit), [1, 0, 0, 1, 0, 1, 1]),
+            (CountBy("d"), Some(Hit), [1, 0, 1, 0, 0, 1, 1]),
+            // A redundant variant hits the entry of its minimized core.
+            (Query("d", redundant), Some(Hit), [0, 1, 1, 0, 1, 1, 0]),
+            // EXPLAIN probes the result cache without counting a hit.
+            (Explain(fresh, "cold"), None, [0, 1, 0, 0, 0, 0, 0]),
+            (Explain(fresh, "plan-cache"), None, [1, 0, 0, 0, 0, 0, 0]),
+            (Explain(CHAIN, "result-cache"), None, [1, 0, 0, 0, 0, 0, 0]),
+            (Analyze(other, false), None, [0, 1, 0, 0, 0, 0, 0]),
+            (Analyze(other, true), None, [1, 0, 0, 0, 0, 0, 0]),
+            // An invalid query never reaches the plan cache.
+            (Analyze(invalid, false), None, [0, 0, 0, 0, 0, 0, 0]),
+            // SUBSCRIBE plans the answer and the count, and primes both.
+            (Subscribe, None, [0, 2, 0, 0, 0, 0, 0]),
+            (Query("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 0]),
+            (Count("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 1]),
+            // IVM patches both entries in place.
+            (Insert, None, [0, 0, 0, 0, 0, 0, 0]),
+            (Query("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 0]),
+            (Count("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 1]),
+            // Answered by scanning the view, then from the cache.
+            (Scan(swapped), Some(Miss), [0, 1, 0, 1, 0, 1, 0]),
+            (Query("d", swapped), Some(Hit), [1, 0, 1, 0, 0, 1, 0]),
+            // `clear_caches` drops count plans too.
+            (ClearThenCount, Some(Miss), [0, 1, 0, 1, 0, 1, 1]),
+        ];
+        for (row, (op, cache, delta)) in table.iter().enumerate() {
+            let before = counters();
+            assert_eq!(drive(&svc, op), *cache, "row {row}: cache outcome");
+            let moved: Vec<u64> = counters().iter().zip(before).map(|(a, b)| a - b).collect();
+            assert_eq!(moved, delta, "row {row}: counter deltas");
+        }
     }
 }
