@@ -539,7 +539,8 @@ fn extensions() {
         ]),
         NeqFormula::neq(Term::var("a"), Term::cons(3)),
     ]);
-    let fast = formula_neq::evaluate(&q, &phi, &db, &HashFamily::Perfect).unwrap();
+    let ctx = pq_engine::ExecutionContext::unlimited();
+    let fast = formula_neq::evaluate(&q, &phi, &db, &HashFamily::Perfect, &ctx).unwrap();
     let slow = formula_neq::evaluate_naive(&q, &phi, &db).unwrap();
     println!("\n[X1] acyclic CQ + monotone formula of != atoms (param q):");
     println!("  phi = {phi}");

@@ -1,17 +1,36 @@
-//! Counting over acyclic pure CQs: the join-tree instantiation of the
-//! semiring sweep, plus the `COUNT DISTINCT` / `GROUP BY` operators.
+//! Counting over acyclic pure CQs: the counting step of the join-tree sweep
+//! ([`pq_engine::sweep`]) and its join-tree instantiation, plus the
+//! `COUNT DISTINCT` / `GROUP BY` operators.
+//!
+//! The sweep annotates every tuple with multiplicity 1, then folds the tree
+//! bottom-up: each child is marginalized onto its connecting variables plus
+//! any tracked `z` variables below it (**summing** multiplicities over the
+//! variables projected away) and **multiplied** into its parent. Because
+//! every variable's occurrences form a connected subtree (the join-tree
+//! property), each satisfying assignment of *all* variables is counted
+//! exactly once, so the root — marginalized onto `z` — holds, per
+//! `z`-projection, the exact number of satisfying assignments extending it.
+//! With `z = ∅` this is Chen–Mengel counting without enumeration: time
+//! polynomial in the input alone. With `z` = the head variables it is
+//! per-projection counting: cost bounded by input × distinct projections.
+//!
+//! Overflow note: all multiplicities are ≥ 1, so any partial sum or
+//! partial product is bounded by its final value. Whether a sweep overflows
+//! therefore does not depend on the order children are folded in — every
+//! degree of parallelism agrees on success, value, *and* failure.
 
 use std::collections::BTreeSet;
 
 use pq_data::{Database, Relation};
+use pq_engine::binding::check_safety;
 use pq_engine::governor::ExecutionContext;
+use pq_engine::sweep::{fold_up, keep_lists};
 use pq_engine::yannakakis::atom_relations;
 use pq_engine::EngineError;
 use pq_hypergraph::{join_tree, Hypergraph, JoinTree};
 use pq_query::ConjunctiveQuery;
 
 use crate::counted::CountedRelation;
-use crate::sweep::counted_sweep;
 use crate::{CountError, QueryCount, Result};
 
 /// Engine name reported in errors and diagnostics.
@@ -24,18 +43,6 @@ pub(crate) const ENGINE: &str = "count-yannakakis";
 pub fn quantifier_free(q: &ConjunctiveQuery) -> bool {
     let head: BTreeSet<&str> = q.head_variables().into_iter().collect();
     q.atom_variables().into_iter().all(|v| head.contains(v))
-}
-
-pub(crate) fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
-    let body_vars: BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body_vars.contains(v) {
-            return Err(CountError::Engine(EngineError::Query(
-                pq_query::QueryError::UnsafeHeadVariable(v.to_string()),
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Validate a `GROUP BY` list: distinct head variables only, returned
@@ -76,6 +83,37 @@ fn prepare(q: &ConjunctiveQuery) -> Result<(Hypergraph, JoinTree)> {
         )))
     })?;
     Ok((hg, tree))
+}
+
+/// The counted sweep: the root counted relation over `z` (empty when the
+/// query is empty on this database). `hg`'s edges are the nodes of `tree` —
+/// atom hypergraph + GYO join tree, or bag hypergraph + decomposition tree —
+/// and `node_rels` holds one set-semantics relation per node. The step is
+/// `P_u := P_u ⊗ ⊕_{Z_j} P_j` over `(ℕ, +, ×)`.
+fn counted_sweep(
+    hg: &Hypergraph,
+    tree: &JoinTree,
+    node_rels: &[Relation],
+    z: &[String],
+    ctx: &ExecutionContext,
+    engine: &'static str,
+) -> Result<CountedRelation> {
+    let keep = keep_lists(hg, tree, z);
+    let mut rels: Vec<CountedRelation> = node_rels
+        .iter()
+        .map(CountedRelation::from_relation)
+        .collect();
+    let nonempty = fold_up(tree, &mut rels, ctx, engine, |ctx, parent, child, j| {
+        let marginal = child.project_sum(&keep[j], ctx, engine)?;
+        let joined = parent.join_multiply(&marginal, ctx, engine)?;
+        Ok::<_, CountError>((joined, marginal.len()))
+    })?;
+    if !nonempty {
+        return CountedRelation::new(z.iter().map(String::clone));
+    }
+    let out = rels[tree.root()].project_sum(z, ctx, engine)?;
+    ctx.charge_tuples(engine, out.len() as u64)?;
+    Ok(out)
 }
 
 /// Assemble a [`QueryCount`] from the sweep, choosing the tracked-variable
@@ -180,7 +218,7 @@ pub fn count_governed(
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<QueryCount> {
-    check_safety(q)?;
+    check_safety(q, [])?;
     if q.atoms.is_empty() {
         return Ok(QueryCount {
             distinct: 1,
@@ -206,7 +244,7 @@ pub fn count_by_governed(
     groups: &[String],
     ctx: &ExecutionContext,
 ) -> Result<CountedRelation> {
-    check_safety(q)?;
+    check_safety(q, [])?;
     let groups = check_groups(q, groups)?;
     if q.atoms.is_empty() {
         let mut out = CountedRelation::new(groups.iter().map(String::clone))?;
@@ -346,25 +384,48 @@ mod tests {
     #[test]
     fn parallel_counts_match_serial_at_any_degree() {
         let db = chain_db();
+        // What a run leaves on its context: the same at any degree.
+        let counters = |ctx: &ExecutionContext| {
+            (
+                ctx.ticks(),
+                ctx.atoms_processed(),
+                ctx.tuples_materialized(),
+                ctx.tuples_remaining(),
+            )
+        };
+        let budget = |threads: usize| {
+            ExecutionContext::new()
+                .with_tuple_budget(100_000)
+                .with_pool(&Pool::new(threads))
+        };
         for src in [
             "G(x, y, z, w) :- R(x, y), S(y, z), T(z, w).",
             "G(x) :- R(x, y), S(y, z).",
             "G :- R(x, y), S(y, z).",
+            // GYO roots this at S with R(x, y) and T(z, w) each carrying a
+            // leaf: a level with two parents, which fans out.
+            "G(x, w) :- S(y, z), R(x, y), R(x, y2), T(z, w), T(z2, w).",
         ] {
             let q = parse_cq(src).unwrap();
             let serial = count(&q, &db).unwrap();
+            let serial_ctx = budget(1);
+            count_governed(&q, &db, &serial_ctx).unwrap();
             for threads in [1, 2, 4] {
-                let ctx = ExecutionContext::unlimited().with_pool(&Pool::new(threads));
+                let ctx = budget(threads);
                 let par = count_governed(&q, &db, &ctx).unwrap();
                 assert_eq!(par, serial, "{src} at {threads} threads");
+                assert_eq!(counters(&ctx), counters(&serial_ctx), "{src} at {threads}");
             }
         }
         let q = parse_cq("G(x, z) :- R(x, y), S(y, z).").unwrap();
         let serial = count_by(&q, &db, &["x".to_string()]).unwrap();
+        let serial_ctx = budget(1);
+        count_by_governed(&q, &db, &["x".to_string()], &serial_ctx).unwrap();
         for threads in [1, 4] {
-            let ctx = ExecutionContext::unlimited().with_pool(&Pool::new(threads));
+            let ctx = budget(threads);
             let par = count_by_governed(&q, &db, &["x".to_string()], &ctx).unwrap();
             assert_eq!(par, serial, "{threads} threads");
+            assert_eq!(counters(&ctx), counters(&serial_ctx), "{threads} threads");
         }
     }
 

@@ -32,6 +32,12 @@ pub fn count_value(c: u128) -> Value {
     }
 }
 
+impl pq_engine::sweep::Rows for CountedRelation {
+    fn rows(&self) -> usize {
+        self.len()
+    }
+}
+
 impl CountedRelation {
     /// An empty counted relation over the given attribute names.
     ///

@@ -6,12 +6,13 @@
 //! the join-tree sweep does for acyclic queries.
 
 use pq_data::Database;
+use pq_engine::binding::check_safety;
 use pq_engine::governor::ExecutionContext;
 use pq_engine::hypertree::materialize_bags_governed;
 use pq_hypergraph::HypertreeDecomposition;
 use pq_query::ConjunctiveQuery;
 
-use crate::acyclic::{check_groups, check_safety, finish_count, finish_count_by};
+use crate::acyclic::{check_groups, finish_count, finish_count_by};
 use crate::counted::CountedRelation;
 use crate::{QueryCount, Result};
 
@@ -29,7 +30,7 @@ pub fn count_decomposed(
     d: &HypertreeDecomposition,
     ctx: &ExecutionContext,
 ) -> Result<QueryCount> {
-    check_safety(q)?;
+    check_safety(q, [])?;
     if q.atoms.is_empty() {
         return Ok(QueryCount {
             distinct: 1,
@@ -49,7 +50,7 @@ pub fn count_by_decomposed(
     groups: &[String],
     ctx: &ExecutionContext,
 ) -> Result<CountedRelation> {
-    check_safety(q)?;
+    check_safety(q, [])?;
     let groups = check_groups(q, groups)?;
     if q.atoms.is_empty() {
         let mut out = CountedRelation::new(groups.iter().map(String::clone))?;

@@ -33,7 +33,6 @@
 pub mod acyclic;
 pub mod counted;
 pub mod decomposed;
-mod sweep;
 
 use std::fmt;
 

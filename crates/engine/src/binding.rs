@@ -1,12 +1,13 @@
 //! Variable bindings (instantiations `τ` in the paper's notation) and the
 //! conventions for turning a set of bindings into an output relation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use pq_data::{Relation, Tuple, Value};
 use pq_query::{ConjunctiveQuery, QueryError, Term};
 
 use crate::error::Result;
+use crate::governor::ExecutionContext;
 
 /// An instantiation of query variables by domain constants.
 pub type Binding = BTreeMap<String, Value>;
@@ -39,6 +40,61 @@ pub fn head_attrs(head_terms: &[Term]) -> Vec<String> {
     } else {
         (0..head_terms.len()).map(|i| format!("${i}")).collect()
     }
+}
+
+/// Safety, as every engine but the reference one (`naive`, which keeps its
+/// own copy to be tested against) checks it: each head variable, then each
+/// variable of `constrained`, must occur in a relational atom. `constrained`
+/// is whatever the engine goes on to evaluate constraints over — the `≠` and
+/// comparison variables, a formula's variables, or nothing for an engine
+/// that rejects impure queries right after.
+///
+/// # Errors
+/// [`QueryError::UnsafeHeadVariable`] or
+/// [`QueryError::UnsafeConstraintVariable`] naming the first offender.
+pub fn check_safety<'a>(
+    q: &ConjunctiveQuery,
+    constrained: impl IntoIterator<Item = &'a str>,
+) -> Result<()> {
+    let body: BTreeSet<&str> = q.atom_variables().into_iter().collect();
+    if let Some(v) = q.head_variables().into_iter().find(|v| !body.contains(v)) {
+        return Err(QueryError::UnsafeHeadVariable(v.to_string()).into());
+    }
+    if let Some(v) = constrained.into_iter().find(|v| !body.contains(v)) {
+        return Err(QueryError::UnsafeConstraintVariable(v.to_string()).into());
+    }
+    Ok(())
+}
+
+/// The answer of a query with an empty body: the one empty tuple (its head
+/// has no variables, or [`check_safety`] would have rejected it).
+pub fn vacuous_output(q: &ConjunctiveQuery) -> Result<Relation> {
+    let mut out = Relation::new(head_attrs(&q.head_terms))?;
+    out.insert(Tuple::default())?;
+    Ok(out)
+}
+
+/// Build the output relation from `P*`: instantiate the head terms over
+/// every row of `star`, which has a column for each head variable (in any
+/// order, possibly among others). Ticks per row and charges the output to
+/// `engine`.
+pub fn head_output(
+    q: &ConjunctiveQuery,
+    star: &Relation,
+    ctx: &ExecutionContext,
+    engine: &'static str,
+) -> Result<Relation> {
+    let mut out = Relation::new(head_attrs(&q.head_terms))?;
+    ctx.charge_tuples(engine, star.len() as u64)?;
+    for t in star.iter() {
+        ctx.tick(engine)?;
+        let vals = q.head_terms.iter().map(|term| match term {
+            Term::Const(c) => c.clone(),
+            Term::Var(v) => t[star.attr_pos(v).expect("head var in P*")].clone(),
+        });
+        out.insert(Tuple::new(vals))?;
+    }
+    Ok(out)
 }
 
 /// Build the output relation `Q(d) = { τ(t0) | τ satisfying }` from a list of

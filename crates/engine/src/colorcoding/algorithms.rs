@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use pq_data::{Database, Relation, Tuple, Value};
+use pq_data::{Database, Relation, Value};
 use pq_hypergraph::{join_tree, Hypergraph, JoinTree};
 use pq_query::ConjunctiveQuery;
 
@@ -18,10 +18,11 @@ use super::hashing::{Coloring, DomainIndex};
 use super::partition::NeqPartition;
 use crate::error::{EngineError, Result};
 use crate::governor::ExecutionContext;
-use crate::yannakakis::atom_relation_governed;
+use crate::sweep::{fold_up, keep_lists};
+use crate::yannakakis::{atom_relation_governed, join_projected, join_reduced};
 
 /// Engine name reported in resource-exhaustion errors.
-const ENGINE: &str = "color-coding";
+pub(super) const ENGINE: &str = "color-coding";
 
 /// The hashed-attribute name for variable `x` (the paper's `x'`). The `#`
 /// cannot appear in parsed variable names, so no collision is possible.
@@ -48,8 +49,17 @@ pub struct Prepared {
     pub w_vars: Vec<BTreeSet<String>>,
     /// `Y_j = U_j ∪ U'_j ∪ W'_j` as attribute names.
     pub y_attrs: Vec<Vec<String>>,
-    /// `at(T[j])`: variables appearing in the subtree rooted at `j`.
-    pub subtree_vars: Vec<BTreeSet<String>>,
+    /// The hypergraph whose edge `j` is `Y_j` — what `tree` is a join tree
+    /// of once the hashed copies ride along, as the bag hypergraph is for a
+    /// decomposition tree.
+    pub y_hg: Hypergraph,
+    /// Algorithm 1's keep-lists `Y_j ∩ Y_u`.
+    pub keep_up: Vec<Vec<String>>,
+    /// The head variables `Z` of the query, and Algorithm 2's keep-lists
+    /// `(Y_j ∩ Y_u) ∪ (Z ∩ at(T[j]))` for them.
+    pub head_vars: Vec<String>,
+    /// See [`Prepared::head_vars`].
+    pub keep_out: Vec<Vec<String>>,
 }
 
 impl Prepared {
@@ -160,6 +170,11 @@ impl Prepared {
             })
             .collect();
 
+        let y_hg = Hypergraph::from_edges(y_attrs.iter().cloned());
+        let keep_up = keep_lists(&y_hg, &tree, &[]);
+        let head_vars: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
+        let keep_out = keep_lists(&y_hg, &tree, &head_vars);
+
         Ok(Prepared {
             hg,
             tree,
@@ -168,36 +183,46 @@ impl Prepared {
             u_vars,
             w_vars,
             y_attrs,
-            subtree_vars,
+            y_hg,
+            keep_up,
+            head_vars,
+            keep_out,
         })
     }
+}
 
-    /// `S'_j`: extend `S_j` with one hashed column per `V1`-variable of the
-    /// atom, holding `h(value)` as an integer.
-    fn extend_with_hashes(&self, j: usize, dom: &DomainIndex, h: &Coloring) -> Relation {
-        let base = &self.s[j];
-        let hashed_vars: Vec<&String> = self.u_vars[j]
-            .iter()
-            .filter(|x| self.partition.in_v1(x))
-            .collect();
-        if hashed_vars.is_empty() {
-            return base.clone();
-        }
-        let mut attrs: Vec<String> = base.attrs().to_vec();
-        attrs.extend(hashed_vars.iter().map(|x| hashed_attr(x)));
-        let positions: Vec<usize> = hashed_vars
-            .iter()
-            .map(|x| base.attr_pos(x).expect("hashed var is a column of S_j"))
-            .collect();
-        let mut out = Relation::new(attrs).expect("distinct attrs by construction");
-        for t in base.iter() {
-            let extra = positions
-                .iter()
-                .map(|&p| Value::Int(i64::from(h.color_of(dom, &t[p]))));
-            out.insert(t.extend_with(extra)).expect("arity matches");
-        }
-        out
+/// `S'`: extend `base` with one hashed column `x#h` per variable `x` of
+/// `hashed` (each a column of `base`), holding `h(value)` as an integer.
+/// Ticks once and charges the extended relation.
+pub(super) fn extend_with_hashes(
+    base: &Relation,
+    hashed: &[&String],
+    dom: &DomainIndex,
+    h: &Coloring,
+    ctx: &ExecutionContext,
+) -> Result<Relation> {
+    ctx.tick(ENGINE)?;
+    ctx.charge_tuples(ENGINE, base.len() as u64)?;
+    if hashed.is_empty() {
+        return Ok(base.clone());
     }
+    let mut attrs: Vec<String> = base.attrs().to_vec();
+    attrs.extend(hashed.iter().map(|x| hashed_attr(x)));
+    let positions: Vec<usize> = hashed
+        .iter()
+        .map(|x| {
+            base.attr_pos(x)
+                .expect("hashed var is a column of its relation")
+        })
+        .collect();
+    let mut out = Relation::new(attrs)?;
+    for t in base.iter() {
+        let extra = positions
+            .iter()
+            .map(|&p| Value::Int(i64::from(h.color_of(dom, &t[p]))));
+        out.insert(t.extend_with(extra))?;
+    }
+    Ok(out)
 }
 
 /// Apply the `I1` inequality selections that have *become checkable*: both
@@ -229,52 +254,37 @@ pub fn algorithm1(prep: &Prepared, dom: &DomainIndex, h: &Coloring) -> Option<Ve
 }
 
 /// [`algorithm1`] under the resource limits of `ctx`: every hash-extended
-/// node relation and every join result is charged against the tuple budget.
+/// node relation is charged here, every projection and join result by the
+/// sweep. The step is `P_u := σ_{I1}(P_u ⋈ π_{Y_j ∩ Y_u} P_j)`, selecting
+/// after each child.
 pub fn algorithm1_governed(
     prep: &Prepared,
     dom: &DomainIndex,
     h: &Coloring,
     ctx: &ExecutionContext,
 ) -> Result<Option<Vec<Relation>>> {
-    let n = prep.s.len();
-    let mut p: Vec<Relation> = Vec::with_capacity(n);
-    for j in 0..n {
-        ctx.tick(ENGINE)?;
-        let ext = prep.extend_with_hashes(j, dom, h);
-        ctx.charge_tuples(ENGINE, ext.len() as u64)?;
-        p.push(ext);
-    }
-    if p.iter().any(Relation::is_empty) {
-        return Ok(None);
-    }
-    for j in prep.tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        let Some(u) = prep.tree.parent(j) else {
-            continue;
-        };
-        let keep: Vec<String> = prep.y_attrs[j]
-            .iter()
-            .filter(|a| prep.y_attrs[u].contains(a))
-            .cloned()
-            .collect();
-        let proj = p[j].project_onto(&keep);
-        let before: BTreeSet<String> = p[u].attrs().iter().cloned().collect();
-        let joined = p[u].natural_join(&proj).expect("attr sets are consistent");
-        let filtered = filter_new_i1_pairs(joined, &prep.partition, &before);
-        ctx.charge_tuples(ENGINE, filtered.len() as u64)?;
-        if filtered.is_empty() {
-            return Ok(None);
-        }
-        p[u] = filtered;
-    }
-    Ok(Some(p))
+    let mut p: Vec<Relation> = (prep.s.iter().zip(&prep.u_vars))
+        .map(|(s_j, u_j)| {
+            let hashed: Vec<&String> = u_j.iter().filter(|x| prep.partition.in_v1(x)).collect();
+            extend_with_hashes(s_j, &hashed, dom, h, ctx)
+        })
+        .collect::<Result<_>>()?;
+    let nonempty = fold_up(&prep.tree, &mut p, ctx, ENGINE, |ctx, parent, child, j| {
+        let before: BTreeSet<String> = parent.attrs().iter().cloned().collect();
+        let (joined, projected) = join_projected(ctx, parent, child, &prep.keep_up[j])?;
+        let selected = filter_new_i1_pairs(joined, &prep.partition, &before);
+        Ok::<_, EngineError>((selected, projected))
+    })?;
+    Ok(nonempty.then_some(p))
 }
 
 /// **Algorithm 2 (evaluation of `Q_h(d)`).** Takes the relations produced by
 /// a successful Algorithm 1 run and returns the projection `P* = π_Z(P_1 ⋈ …
 /// ⋈ P_s)` over the head variables `Z`, computed without materializing the
 /// full join: a top-down dangling-tuple (semijoin) pass, then a bottom-up
-/// join+project pass.
+/// join+project pass. Algorithm 1 already joined every child into its
+/// parent, so no upward reducer of its own is needed and the rest is
+/// Yannakakis' tail (`yannakakis::join_reduced`) over the `Y_j` hypergraph.
 pub fn algorithm2(prep: &Prepared, p: Vec<Relation>, head_vars: &[String]) -> Result<Relation> {
     algorithm2_governed(prep, p, head_vars, &ExecutionContext::unlimited())
 }
@@ -286,70 +296,16 @@ pub fn algorithm2_governed(
     head_vars: &[String],
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
-    // Step 1: top-down semijoins — make the relations globally consistent.
-    for j in prep.tree.top_down() {
-        ctx.tick(ENGINE)?;
-        if let Some(u) = prep.tree.parent(j) {
-            p[j] = p[j].semijoin(&p[u]);
-            ctx.charge_tuples(ENGINE, p[j].len() as u64)?;
-        }
-    }
-
-    // Step 2: bottom-up joins, projecting each child onto
-    // Z_j = (Y_j ∩ Y_u) ∪ (Z ∩ at(T[j])).
-    for j in prep.tree.bottom_up() {
-        ctx.tick(ENGINE)?;
-        let Some(u) = prep.tree.parent(j) else {
-            continue;
-        };
-        let mut zj: Vec<String> = prep.y_attrs[j]
-            .iter()
-            .filter(|a| prep.y_attrs[u].contains(a))
-            .cloned()
-            .collect();
-        for z in head_vars {
-            if prep.subtree_vars[j].contains(z) && !zj.contains(z) {
-                zj.push(z.clone());
-            }
-        }
-        let proj = p[j].project_onto(&zj);
-        p[u] = p[u].natural_join(&proj)?;
-        ctx.charge_tuples(ENGINE, p[u].len() as u64)?;
-    }
-
-    // Step 3: project the root onto Z.
-    let z_refs: Vec<&str> = head_vars.iter().map(String::as_str).collect();
-    let star = p[prep.tree.root()].project(&z_refs)?;
-    ctx.charge_tuples(ENGINE, star.len() as u64)?;
-    Ok(star)
-}
-
-/// Build the final output relation from `P*` by instantiating the head
-/// terms (shared with the Yannakakis engine's convention).
-pub fn materialize_head(q: &ConjunctiveQuery, star: &Relation) -> Result<Relation> {
-    materialize_head_governed(q, star, &ExecutionContext::unlimited())
-}
-
-/// [`materialize_head`] under the resource limits of `ctx`.
-pub fn materialize_head_governed(
-    q: &ConjunctiveQuery,
-    star: &Relation,
-    ctx: &ExecutionContext,
-) -> Result<Relation> {
-    let mut out = Relation::new(crate::binding::head_attrs(&q.head_terms))?;
-    for t in star.iter() {
-        ctx.tick(ENGINE)?;
-        ctx.charge_tuples(ENGINE, 1)?;
-        let vals = q.head_terms.iter().map(|term| match term {
-            pq_query::Term::Const(c) => c.clone(),
-            pq_query::Term::Var(v) => {
-                let pos = star.attr_pos(v).expect("head var is a column of P*");
-                t[pos].clone()
-            }
-        });
-        out.insert(Tuple::new(vals))?;
-    }
-    Ok(out)
+    // The keep-lists for the query's own head are part of `prep`, shared by
+    // every trial; any other `Z` pays for its own.
+    let other;
+    let keep = if head_vars == prep.head_vars {
+        &prep.keep_out
+    } else {
+        other = keep_lists(&prep.y_hg, &prep.tree, head_vars);
+        &other
+    };
+    join_reduced(&prep.tree, keep, &mut p, true, ctx, ENGINE)
 }
 
 #[cfg(test)]

@@ -19,16 +19,11 @@
 use pq_data::{Database, Relation, Tuple};
 use pq_query::ConjunctiveQuery;
 
-use super::algorithms::{
-    algorithm1_governed, algorithm2_governed, materialize_head_governed, Prepared,
-};
+use super::algorithms::{algorithm1_governed, algorithm2_governed, Prepared, ENGINE};
 use super::hashing::{Coloring, DomainIndex, HashFamily};
-use crate::binding::head_attrs;
-use crate::error::{EngineError, Result};
+use crate::binding::{check_safety, head_attrs, head_output, vacuous_output};
+use crate::error::Result;
 use crate::governor::ExecutionContext;
-
-/// Engine name reported in resource-exhaustion errors.
-const ENGINE: &str = "color-coding";
 
 /// Trials claimed per scheduling round by the parallel arm. Colorings are
 /// drawn lazily from the family iterator in fixed-size batches (the perfect
@@ -78,23 +73,9 @@ impl ColorCodingOptions {
     }
 }
 
-fn check_head_safety(q: &ConjunctiveQuery) -> Result<()> {
-    let body: std::collections::BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body.contains(v) {
-            return Err(EngineError::Query(
-                pq_query::QueryError::UnsafeHeadVariable(v.to_string()),
-            ));
-        }
-    }
-    for v in q.neqs.iter().flat_map(|n| n.variables()) {
-        if !body.contains(v) {
-            return Err(EngineError::Query(
-                pq_query::QueryError::UnsafeConstraintVariable(v.to_string()),
-            ));
-        }
-    }
-    Ok(())
+/// The variables of the `≠` atoms, for [`check_safety`].
+fn neq_variables(q: &ConjunctiveQuery) -> impl Iterator<Item = &str> {
+    q.neqs.iter().flat_map(|n| n.variables())
 }
 
 /// Is `Q(d)` nonempty? Exact with [`HashFamily::Perfect`]; one-sided error
@@ -125,7 +106,7 @@ pub fn is_nonempty_governed(
             _ => false,
         }));
     }
-    check_head_safety(q)?;
+    check_safety(q, neq_variables(q))?;
     let prep = Prepared::build_governed(q, db, opts.minimize_hashed_attrs, ctx)?;
     if prep.partition.trivially_false {
         return Ok(false);
@@ -217,29 +198,28 @@ pub fn evaluate_governed(
     opts: &ColorCodingOptions,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
-    check_head_safety(q)?;
+    check_safety(q, neq_variables(q))?;
+    let mut out = Relation::new(head_attrs(&q.head_terms))?;
     if q.atoms.is_empty() {
-        let mut out = Relation::new(head_attrs(&q.head_terms))?;
-        if is_nonempty_governed(q, db, opts, ctx)? {
-            out.insert(Tuple::default())?;
-        }
-        return Ok(out);
+        return if is_nonempty_governed(q, db, opts, ctx)? {
+            vacuous_output(q)
+        } else {
+            Ok(out)
+        };
     }
     let prep = Prepared::build_governed(q, db, opts.minimize_hashed_attrs, ctx)?;
-    let mut out = Relation::new(head_attrs(&q.head_terms))?;
     if prep.partition.trivially_false {
         return Ok(out);
     }
     let dom = DomainIndex::from_database(db);
     let k = prep.partition.k();
-    let head_vars: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
     let trial = |ctx: &ExecutionContext, h: &Coloring| -> Result<Option<Relation>> {
         ctx.tick(ENGINE)?;
         let Some(p) = algorithm1_governed(&prep, &dom, h, ctx)? else {
             return Ok(None);
         };
-        let star = algorithm2_governed(&prep, p, &head_vars, ctx)?;
-        Ok(Some(materialize_head_governed(q, &star, ctx)?))
+        let star = algorithm2_governed(&prep, p, &prep.head_vars, ctx)?;
+        Ok(Some(head_output(q, &star, ctx, ENGINE)?))
     };
     let mut colorings = opts.family.colorings(&dom, k);
     if ctx.pool().threads() <= 1 {

@@ -23,14 +23,16 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use pq_data::{Database, Relation, Tuple, Value};
-use pq_hypergraph::join_tree;
+use pq_hypergraph::{join_tree, Hypergraph};
 use pq_query::{ConjunctiveQuery, Term};
 
-use super::algorithms::{hashed_attr, materialize_head};
+use super::algorithms::{extend_with_hashes, hashed_attr, ENGINE};
 use super::hashing::{DomainIndex, HashFamily};
-use crate::binding::head_attrs;
+use crate::binding::{check_safety, head_attrs, head_output};
 use crate::error::{EngineError, Result};
-use crate::yannakakis::atom_relation;
+use crate::governor::ExecutionContext;
+use crate::sweep::{fold_up, keep_lists};
+use crate::yannakakis::{atom_relations, join_projected};
 
 /// A monotone Boolean combination of inequality atoms.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,6 +88,27 @@ impl NeqFormula {
         }
     }
 
+    /// φ with the atoms the active domain already decides replaced by their
+    /// truth value (`And([])` is true, `Or([])` false): a constant outside
+    /// the domain differs from every value a variable can take, and two
+    /// constants compare as values. Hashing cannot decide these — a coloring
+    /// gives an absent constant colour 0, so `x ≠ c` would fail for
+    /// whichever domain values share that colour, under every function.
+    fn decided(&self, dom: &DomainIndex) -> NeqFormula {
+        let truth = |holds: bool| match holds {
+            true => NeqFormula::And(Vec::new()),
+            false => NeqFormula::Or(Vec::new()),
+        };
+        let absent = |t: &Term| t.as_const().is_some_and(|c| dom.index_of(c).is_none());
+        match self {
+            NeqFormula::Atom(Term::Const(a), Term::Const(b)) => truth(a != b),
+            NeqFormula::Atom(l, r) if absent(l) || absent(r) => truth(true),
+            NeqFormula::Atom(..) => self.clone(),
+            NeqFormula::And(fs) => NeqFormula::And(fs.iter().map(|f| f.decided(dom)).collect()),
+            NeqFormula::Or(fs) => NeqFormula::Or(fs.iter().map(|f| f.decided(dom)).collect()),
+        }
+    }
+
     /// Evaluate over concrete values (ground truth; used by the naive
     /// evaluator below).
     pub fn eval_values(&self, lookup: &impl Fn(&str) -> Value) -> bool {
@@ -126,122 +149,69 @@ impl fmt::Display for NeqFormula {
 
 /// Evaluate an acyclic conjunctive query (its `atoms` and head; the `neqs`
 /// and `comparisons` fields must be empty) extended with a monotone
-/// inequality formula `φ`, in f.p. polynomial time with parameter `q`.
+/// inequality formula `φ`, in f.p. polynomial time with parameter `q`, under
+/// the resource limits of `ctx`.
 pub fn evaluate(
     q: &ConjunctiveQuery,
     phi: &NeqFormula,
     db: &Database,
     family: &HashFamily,
+    ctx: &ExecutionContext,
 ) -> Result<Relation> {
     if !q.is_pure() {
         return Err(EngineError::Unsupported(
             "pass the inequality structure via φ, not the query's own constraint lists".into(),
         ));
     }
-    let body: BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body.contains(v) {
-            return Err(EngineError::Query(
-                pq_query::QueryError::UnsafeHeadVariable(v.to_string()),
-            ));
-        }
-    }
-    for v in phi.variables() {
-        if !body.contains(v.as_str()) {
-            return Err(EngineError::Query(
-                pq_query::QueryError::UnsafeConstraintVariable(v),
-            ));
-        }
-    }
-    let hg = q.hypergraph();
-    let tree = join_tree(&hg)
+    check_safety(q, phi.variables().iter().map(String::as_str))?;
+    let tree = join_tree(&q.hypergraph())
         .ok_or_else(|| EngineError::Unsupported(format!("query is not acyclic: {q}")))?;
 
+    let dom = DomainIndex::from_database(db);
+    let phi = phi.decided(&dom);
     let phi_vars: Vec<String> = phi.variables().into_iter().collect();
-    let phi_consts: Vec<Value> = phi.constants().into_iter().collect();
     // k = #variables + #constants of φ (the paper's choice; k ≤ q).
-    let k = phi_vars.len() + phi_consts.len();
+    let k = phi_vars.len() + phi.constants().len();
 
     // Per-atom relations (constants/equalities only — φ is checked at the
-    // root, per the paper's "may not push down" caveat).
-    let base: Vec<Relation> = q
-        .atoms
-        .iter()
-        .map(|a| atom_relation(a, db))
-        .collect::<Result<_>>()?;
+    // root, per the paper's "may not push down" caveat), and the φ-variables
+    // each of them gets a hashed copy of.
+    let base = atom_relations(q, db, ctx)?;
+    let carried = |rel: &Relation| -> Vec<&String> {
+        phi_vars
+            .iter()
+            .filter(|v| rel.attr_pos(v).is_some())
+            .collect()
+    };
+    let hashed: Vec<Vec<&String>> = base.iter().map(carried).collect();
+    // The wide regime as an output join: with `Z = head ∪ {x#h : x ∈ φ}`
+    // every hashed attribute rides to the root beside the head variables.
+    let y_hg = Hypergraph::from_edges(base.iter().zip(&hashed).map(|(rel, hv)| {
+        let own = rel.attrs().iter().cloned();
+        own.chain(hv.iter().map(|v| hashed_attr(v)))
+            .collect::<Vec<_>>()
+    }));
+    let mut z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
+    z.extend(phi_vars.iter().map(|v| hashed_attr(v)));
+    let keep = keep_lists(&y_hg, &tree, &z);
 
-    let dom = DomainIndex::from_database(db);
-    let head_vars: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
+    let step = |ctx: &ExecutionContext, parent: &Relation, child: &Relation, j: usize| {
+        join_projected(ctx, parent, child, &keep[j])
+    };
+
     let mut out = Relation::new(head_attrs(&q.head_terms))?;
-
     for h in family.colorings(&dom, k) {
-        // Extend every atom relation with hashed copies of its φ-variables.
-        let mut rels: Vec<Relation> = Vec::with_capacity(base.len());
-        for rel in &base {
-            let hv: Vec<&String> = phi_vars
-                .iter()
-                .filter(|v| rel.attr_pos(v).is_some())
-                .collect();
-            if hv.is_empty() {
-                rels.push(rel.clone());
-                continue;
-            }
-            let mut attrs: Vec<String> = rel.attrs().to_vec();
-            attrs.extend(hv.iter().map(|v| hashed_attr(v)));
-            let positions: Vec<usize> = hv
-                .iter()
-                .map(|v| rel.attr_pos(v).expect("checked"))
-                .collect();
-            let mut ext = Relation::new(attrs)?;
-            for t in rel.iter() {
-                let extra = positions
-                    .iter()
-                    .map(|&p| Value::Int(i64::from(h.color_of(&dom, &t[p]))));
-                ext.insert(t.extend_with(extra))?;
-            }
-            rels.push(ext);
-        }
-
-        // Bottom-up join carrying every hashed attribute (wide regime),
-        // projecting out original non-head attributes not needed above.
-        let mut p = rels;
-        let mut empty = false;
-        for j in tree.bottom_up() {
-            if p[j].is_empty() {
-                empty = true;
-                break;
-            }
-            let Some(u) = tree.parent(j) else { continue };
-            // Keep: shared original attrs with the rest of the tree, all
-            // hashed attrs, and head attrs.
-            let keep: Vec<String> = p[j]
-                .attrs()
-                .iter()
-                .filter(|a| {
-                    a.contains('#')
-                        || head_vars.contains(a)
-                        || hg
-                            .vertex(a)
-                            .map(|v| {
-                                // shared with some edge outside the subtree
-                                hg.edges_containing(v)
-                                    .iter()
-                                    .any(|&e| !tree.subtree_nodes(j).contains(&e))
-                            })
-                            .unwrap_or(false)
-                })
-                .cloned()
-                .collect();
-            let proj = p[j].project_onto(&keep);
-            p[u] = p[u].natural_join(&proj)?;
-        }
-        if empty {
+        ctx.tick(ENGINE)?;
+        let mut p: Vec<Relation> = (base.iter().zip(&hashed))
+            .map(|(rel, hv)| extend_with_hashes(rel, hv, &dom, &h, ctx))
+            .collect::<Result<_>>()?;
+        if !fold_up(&tree, &mut p, ctx, ENGINE, step)? {
             continue;
         }
 
         // Check φ on the hashed attributes at the root.
         let root = &p[tree.root()];
-        let col_of = |t: &Term, tup: &Tuple| -> Value {
+        let color = |t: &Term, tup: &Tuple| -> Value {
             match t {
                 Term::Var(v) => {
                     let pos = root.attr_pos(&hashed_attr(v)).expect("hashed attr at root");
@@ -250,12 +220,8 @@ pub fn evaluate(
                 Term::Const(c) => Value::Int(i64::from(h.color_of(&dom, c))),
             }
         };
-        let selected = root.select(|tup| phi.eval(&|t: &Term| col_of(t, tup)));
-
-        let z_refs: Vec<&str> = head_vars.iter().map(String::as_str).collect();
-        let star = selected.project(&z_refs)?;
-        let part = materialize_head(q, &star)?;
-        out = out.union(&part)?;
+        let selected = root.select(|tup| phi.eval(&|t: &Term| color(t, tup)));
+        out = out.union(&head_output(q, &selected, ctx, ENGINE)?)?;
     }
     Ok(out)
 }
@@ -271,21 +237,10 @@ pub fn evaluate_naive(q: &ConjunctiveQuery, phi: &NeqFormula, db: &Database) -> 
         db,
     )?;
     // Filter by φ over full variable bindings, then project to the head.
-    let mut out = Relation::new(head_attrs(&q.head_terms))?;
-    for t in all.iter() {
-        let lookup = |v: &str| -> Value {
-            let pos = all.attr_pos(v).expect("all body vars in header");
-            t[pos].clone()
-        };
-        if phi.eval_values(&lookup) {
-            let vals = q.head_terms.iter().map(|term| match term {
-                Term::Const(c) => c.clone(),
-                Term::Var(v) => lookup(v),
-            });
-            out.insert(Tuple::new(vals))?;
-        }
-    }
-    Ok(out)
+    let selected = all.select(|t| {
+        phi.eval_values(&|v: &str| t[all.attr_pos(v).expect("all body vars in header")].clone())
+    });
+    head_output(q, &selected, &ExecutionContext::unlimited(), ENGINE)
 }
 
 #[cfg(test)]
@@ -296,6 +251,10 @@ mod tests {
 
     fn var(v: &str) -> Term {
         Term::var(v)
+    }
+
+    fn ctx() -> ExecutionContext {
+        ExecutionContext::unlimited()
     }
 
     fn db() -> Database {
@@ -319,10 +278,19 @@ mod tests {
             NeqFormula::neq(var("a"), var("c")),
             NeqFormula::neq(var("a"), Term::cons(1)),
         ]);
-        let fast = evaluate(&q, &phi, &db(), &HashFamily::Perfect).unwrap();
+        let fast = evaluate(&q, &phi, &db(), &HashFamily::Perfect, &ctx()).unwrap();
         let slow = evaluate_naive(&q, &phi, &db()).unwrap();
         assert_eq!(fast, slow);
         assert!(!fast.contains(&tuple![1, 1]));
+
+        // A constant outside the active domain has no colour of its own:
+        // x ≠ 99 holds for every x there is.
+        let mut one = Database::new();
+        one.add_table("R", ["a"], [tuple![1]]).unwrap();
+        let q = parse_cq("G(x) :- R(x).").unwrap();
+        let phi = NeqFormula::neq(var("x"), Term::cons(99));
+        let fast = evaluate(&q, &phi, &one, &HashFamily::Perfect, &ctx());
+        assert_eq!(fast.unwrap(), evaluate_naive(&q, &phi, &one).unwrap());
     }
 
     #[test]
@@ -336,7 +304,7 @@ mod tests {
             ]),
             NeqFormula::neq(var("a"), Term::cons(3)),
         ]);
-        let fast = evaluate(&q, &phi, &db(), &HashFamily::Perfect).unwrap();
+        let fast = evaluate(&q, &phi, &db(), &HashFamily::Perfect, &ctx()).unwrap();
         let slow = evaluate_naive(&q, &phi, &db()).unwrap();
         assert_eq!(fast, slow);
     }
@@ -345,7 +313,7 @@ mod tests {
     fn pure_conjunction_agrees_with_main_engine() {
         let q = parse_cq("G(a, c) :- R(a, b), S(b, c).").unwrap();
         let phi = NeqFormula::And(vec![NeqFormula::neq(var("a"), var("c"))]);
-        let via_formula = evaluate(&q, &phi, &db(), &HashFamily::Perfect).unwrap();
+        let via_formula = evaluate(&q, &phi, &db(), &HashFamily::Perfect, &ctx()).unwrap();
         let q_neq = parse_cq("G(a, c) :- R(a, b), S(b, c), a != c.").unwrap();
         let via_main = super::super::driver::evaluate(
             &q_neq,
@@ -364,7 +332,7 @@ mod tests {
             trials: 40,
             seed: 5,
         };
-        let subset = evaluate(&q, &phi, &db(), &fam).unwrap();
+        let subset = evaluate(&q, &phi, &db(), &fam, &ctx()).unwrap();
         let full = evaluate_naive(&q, &phi, &db()).unwrap();
         for t in subset.iter() {
             assert!(full.contains(t), "false positive {t}");
@@ -375,7 +343,7 @@ mod tests {
     fn unsafe_phi_variable_rejected() {
         let q = parse_cq("G(a) :- R(a, b).").unwrap();
         let phi = NeqFormula::neq(var("zz"), var("a"));
-        assert!(evaluate(&q, &phi, &db(), &HashFamily::Perfect).is_err());
+        assert!(evaluate(&q, &phi, &db(), &HashFamily::Perfect, &ctx()).is_err());
     }
 
     #[test]

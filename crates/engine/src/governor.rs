@@ -813,22 +813,57 @@ mod tests {
         db.add_table("H", ["c"], (0..5i64).map(|i| tuple![i]))
             .unwrap();
         // A star: three leaves under one hub, so every pass has a
-        // multi-node level that fans out at degree 4.
-        let q = pq_query::parse_cq("G(c, x) :- H(c), P(c, x), Q(c, y), W(c, z).").unwrap();
-        let counters = |ctx: ExecutionContext| {
-            let out = crate::yannakakis::evaluate_governed(&q, &db, &ctx).unwrap();
+        // multi-node level that fans out at degree 4. A chain: every level
+        // has one parent and runs the data-parallel kernels instead. A fork
+        // (GYO roots it at Q, with P(x, y) and W(z, w) each carrying a
+        // leaf): a bottom-up level with two parents. The hypertree engine
+        // walks the same sweep over width-1 bags, color coding over its
+        // hash-extended nodes (one `I1` pair each).
+        let star = "G(c, x) :- H(c), P(c, x), Q(c, y), W(c, z)";
+        let chain = "G(a, d) :- P(a, b), Q(b, c), W(c, d)";
+        let fork = "G(x, w) :- Q(y, z), P(x, y), P(x, y2), W(z, w), W(z2, w)";
+        type Engine = fn(
+            &pq_query::ConjunctiveQuery,
+            &Database,
+            &ExecutionContext,
+        ) -> Result<pq_data::Relation>;
+        let engines: [(Engine, [String; 3]); 3] = [
             (
-                out,
-                ctx.ticks(),
-                ctx.atoms_processed(),
-                ctx.tuples_materialized(),
-                ctx.tuples_remaining(),
-            )
-        };
-        let budget = || ExecutionContext::new().with_tuple_budget(100_000);
-        let serial = counters(budget());
-        assert!(!serial.0.is_empty());
-        assert_eq!(serial, counters(budget().with_pool(&Pool::new(4))));
+                crate::yannakakis::evaluate_governed,
+                [format!("{star}."), format!("{chain}."), format!("{fork}.")],
+            ),
+            (
+                crate::hypertree::evaluate_governed,
+                [format!("{star}."), format!("{chain}."), format!("{fork}.")],
+            ),
+            (
+                |q, db, ctx| crate::colorcoding::evaluate_governed(q, db, &Default::default(), ctx),
+                [
+                    format!("{star}, x != y."),
+                    format!("{chain}, a != d."),
+                    format!("{fork}, x != w."),
+                ],
+            ),
+        ];
+        for (evaluate, queries) in engines {
+            for src in queries {
+                let q = pq_query::parse_cq(&src).unwrap();
+                let counters = |ctx: ExecutionContext| {
+                    let out = evaluate(&q, &db, &ctx).unwrap();
+                    (
+                        out,
+                        ctx.ticks(),
+                        ctx.atoms_processed(),
+                        ctx.tuples_materialized(),
+                        ctx.tuples_remaining(),
+                    )
+                };
+                let budget = || ExecutionContext::new().with_tuple_budget(100_000);
+                let serial = counters(budget());
+                assert!(!serial.0.is_empty(), "{src}");
+                assert_eq!(serial, counters(budget().with_pool(&Pool::new(4))), "{src}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use pq_data::{Database, Relation, Tuple};
 use pq_hypergraph::{decompose, Hypergraph, HypertreeDecomposition, JoinTree, DEFAULT_WIDTH_LIMIT};
 use pq_query::ConjunctiveQuery;
 
-use crate::binding::head_attrs;
+use crate::binding::{check_safety, vacuous_output};
 use crate::error::{EngineError, Result};
 use crate::governor::ExecutionContext;
 use crate::yannakakis::{atom_relations, reduce_and_join, upward_pass};
@@ -171,24 +171,6 @@ fn materialize_bag(
     Ok(bag_rel)
 }
 
-fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
-    let body_vars: BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body_vars.contains(v) {
-            return Err(EngineError::Query(
-                pq_query::QueryError::UnsafeHeadVariable(v.to_string()),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn vacuous_output(q: &ConjunctiveQuery) -> Result<Relation> {
-    let mut out = Relation::new(head_attrs(&q.head_terms))?;
-    out.insert(Tuple::default())?;
-    Ok(out)
-}
-
 /// Materialize the decomposition's bags for `(q, db)`: the *bag hypergraph*
 /// (one edge per decomposition node, labelled by the bag's variables), the
 /// bag join tree, and the bag relations in node order.
@@ -249,7 +231,7 @@ pub fn is_nonempty_decomposed(
         return Ok(true);
     }
     let (_bags, tree, mut rels) = materialize_bags_governed(q, db, d, ctx)?;
-    Ok(upward_pass(&tree, &mut rels, ctx, ENGINE)? && !rels[tree.root()].is_empty())
+    upward_pass(&tree, &mut rels, ctx, ENGINE)
 }
 
 /// The decision problem: `t ∈ Q(d)`? Binding the head may change the
@@ -301,7 +283,7 @@ pub fn evaluate_governed(
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
-    check_safety(q)?;
+    check_safety(q, [])?;
     if q.atoms.is_empty() {
         return vacuous_output(q);
     }
@@ -316,7 +298,7 @@ pub fn evaluate_decomposed(
     d: &HypertreeDecomposition,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
-    check_safety(q)?;
+    check_safety(q, [])?;
     if q.atoms.is_empty() {
         return vacuous_output(q);
     }

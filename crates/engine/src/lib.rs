@@ -6,6 +6,7 @@
 //! | [`naive`] | the generic `n^q` algorithm Theorems 1/3 say is likely optimal | `O(n^{\|atoms\|})` |
 //! | [`bounded_var`] | Theorem 1(1), parameter-`v` upper bound | builds `Q'`, `d'` in poly time |
 //! | [`yannakakis`] | the acyclic-CQ algorithm of \[18\] that Theorem 2 extends | poly(input + output) |
+//! | [`sweep`] | Section 5's step `P_u := σ_F(P_u ⋈ π_{Z_j} P_j)` as a walk: the one join-tree schedule the engines above and below instantiate | one step per tree edge |
 //! | [`colorcoding`] | **Theorem 2**: acyclic CQ + `≠` by color coding | `O(g(v)·q·n·log n)` emptiness |
 //! | [`hypertree`] | beyond Fig. 1: cyclic CQs of bounded hypertree width (Gottlob–Leone–Scarcello) | poly(input + output) for fixed width |
 //! | [`positive_eval`] | Theorem 1(2): positive queries via union-of-CQs | exp(q)·poly(n) |
@@ -31,6 +32,7 @@ pub mod hypertree;
 pub mod naive;
 pub mod naive_indexed;
 pub mod positive_eval;
+pub mod sweep;
 pub mod yannakakis;
 
 pub use error::{EngineError, Result};

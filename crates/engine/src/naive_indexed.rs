@@ -8,14 +8,14 @@
 //! dramatically; the fitted exponent stays put (bench
 //! `thm1/cq_clique_naive` vs `thm1/cq_clique_indexed`).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use std::ops::Range;
 
 use pq_data::{Database, Relation, Value};
-use pq_query::{ConjunctiveQuery, QueryError, Term};
+use pq_query::{ConjunctiveQuery, Term};
 
-use crate::binding::{apply_term, bindings_to_output, Binding};
+use crate::binding::{apply_term, bindings_to_output, check_safety, Binding};
 use crate::error::{EngineError, Result};
 use crate::governor::ExecutionContext;
 
@@ -59,7 +59,9 @@ pub fn evaluate_governed(
     db: &Database,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
-    check_safety(q)?;
+    let constrained = (q.neqs.iter().flat_map(|n| n.variables()))
+        .chain(q.comparisons.iter().flat_map(|c| c.variables()));
+    check_safety(q, constrained)?;
     let indexed = build_indexes(q, db)?;
     let Some((first, rows, chunks)) = first_atom_chunks(q, &indexed, ctx) else {
         let mut bindings = Vec::new();
@@ -110,30 +112,6 @@ pub fn is_nonempty_governed(
         Ok(found.then_some(()))
     })?;
     Ok(hit.is_some())
-}
-
-fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
-    let body: BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body.contains(v) {
-            return Err(EngineError::Query(QueryError::UnsafeHeadVariable(
-                v.to_string(),
-            )));
-        }
-    }
-    for v in q
-        .neqs
-        .iter()
-        .flat_map(|n| n.variables())
-        .chain(q.comparisons.iter().flat_map(|c| c.variables()))
-    {
-        if !body.contains(v) {
-            return Err(EngineError::Query(QueryError::UnsafeConstraintVariable(
-                v.to_string(),
-            )));
-        }
-    }
-    Ok(())
 }
 
 fn constraints_hold(q: &ConjunctiveQuery, b: &Binding) -> bool {

@@ -7,15 +7,14 @@
 //! Emptiness and decision need only the bottom-up semijoin pass and are
 //! polynomial in the input alone.
 
-use std::collections::BTreeSet;
-
 use pq_data::{Database, Relation, Tuple};
 use pq_hypergraph::{join_tree, Hypergraph, JoinTree};
 use pq_query::{Atom, ConjunctiveQuery, Term};
 
-use crate::binding::head_attrs;
+use crate::binding::{check_safety, head_output, vacuous_output};
 use crate::error::{EngineError, Result};
 use crate::governor::ExecutionContext;
+use crate::sweep::{fold_up, keep_lists, push_down};
 
 /// Engine name reported in resource-exhaustion errors.
 const ENGINE: &str = "yannakakis";
@@ -141,7 +140,7 @@ pub fn is_nonempty_governed(
     }
     let (_hg, tree) = prepare(q)?;
     let mut rels = atom_relations(q, db, ctx)?;
-    Ok(upward_pass(&tree, &mut rels, ctx, ENGINE)? && !rels[tree.root()].is_empty())
+    upward_pass(&tree, &mut rels, ctx, ENGINE)
 }
 
 /// The decision problem: `t ∈ Q(d)`?
@@ -197,46 +196,31 @@ pub fn evaluate_with_options(
     evaluate_with_options_governed(q, db, opts, &ExecutionContext::unlimited())
 }
 
-/// [`evaluate_with_options`] under the resource limits of `ctx`: semijoin
-/// passes tick per tree node and charge every intermediate relation they
-/// rebuild, so runaway join phases stop at the budget instead of exhausting
-/// memory. The passes fan out on the pool `ctx` carries and produce the same
-/// relation at any degree: the level schedule is a valid bottom-up order,
-/// each parent applies its children in child order, and single-parent
-/// levels use the deterministic data-parallel kernels.
+/// [`evaluate_with_options`] under the resource limits of `ctx`: the passes
+/// are steps of [`crate::sweep`], which ticks per tree edge and charges every
+/// intermediate relation they build, so runaway join phases stop at the
+/// budget instead of exhausting memory, and which fans them out on the pool
+/// `ctx` carries with the same relations and charges at any degree.
 pub fn evaluate_with_options_governed(
     q: &ConjunctiveQuery,
     db: &Database,
     opts: EvalOptions,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
-    // Safety: head variables must occur in the body.
-    let body_vars: BTreeSet<&str> = q.atom_variables().into_iter().collect();
-    for v in q.head_variables() {
-        if !body_vars.contains(v) {
-            return Err(EngineError::Query(
-                pq_query::QueryError::UnsafeHeadVariable(v.to_string()),
-            ));
-        }
-    }
+    check_safety(q, [])?;
     if q.atoms.is_empty() {
-        // Vacuously true Boolean query (head vars would be unsafe above).
-        let mut out = Relation::new(head_attrs(&q.head_terms))?;
-        out.insert(Tuple::default())?;
-        return Ok(out);
+        return vacuous_output(q);
     }
-
     let (hg, tree) = prepare(q)?;
     let mut rels = atom_relations(q, db, ctx)?;
     reduce_and_join(q, &hg, &tree, &mut rels, opts, ctx, ENGINE)
 }
 
-/// Section 5's algorithm after the per-node relations exist: upward
-/// semijoins, downward semijoins, bottom-up join-and-project, head
-/// projection. `hg`'s edges are the nodes of `tree` — the query hypergraph
-/// and its join tree here, the bag hypergraph and the decomposition tree in
-/// the hypertree engine, which names itself in exhaustion errors via
-/// `engine`.
+/// Section 5's algorithm after the per-node relations exist: the upward
+/// reducer, then [`join_reduced`], then the head. `hg`'s edges are the nodes
+/// of `tree` — the query hypergraph and its join tree here, the bag
+/// hypergraph and the decomposition tree in the hypertree engine, which
+/// names itself in exhaustion errors via `engine`.
 pub(crate) fn reduce_and_join(
     q: &ConjunctiveQuery,
     hg: &Hypergraph,
@@ -246,227 +230,77 @@ pub(crate) fn reduce_and_join(
     ctx: &ExecutionContext,
     engine: &'static str,
 ) -> Result<Relation> {
-    let empty = || Ok(Relation::new(head_attrs(&q.head_terms))?);
-
-    // Upward semijoin pass (full-reducer half 1).
-    if !upward_pass(tree, rels, ctx, engine)? || rels[tree.root()].is_empty() {
-        return empty();
-    }
-    // Downward semijoin pass (full-reducer half 2) — removes dangling tuples.
-    if opts.downward_pass {
-        downward_pass(tree, rels, ctx, engine)?;
-    }
-    // Bottom-up join + project onto the output variables Z.
     let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
-    if !output_join(hg, tree, rels, &z, ctx, engine)? {
-        return empty();
-    }
-
-    // Project the root onto Z and materialize the head terms.
-    let z_refs: Vec<&str> = z.iter().map(String::as_str).collect();
-    let star = rels[tree.root()].project(&z_refs)?;
-    let mut out = Relation::new(head_attrs(&q.head_terms))?;
-    ctx.charge_tuples(engine, star.len() as u64)?;
-    for t in star.iter() {
-        ctx.tick(engine)?;
-        let vals = q.head_terms.iter().map(|term| match term {
-            Term::Const(c) => c.clone(),
-            Term::Var(v) => {
-                let pos = star.attr_pos(v).expect("head var in Z");
-                t[pos].clone()
-            }
-        });
-        out.insert(Tuple::new(vals))?;
-    }
-    Ok(out)
+    let star = if upward_pass(tree, rels, ctx, engine)? {
+        let keep = keep_lists(hg, tree, &z);
+        join_reduced(tree, &keep, rels, opts.downward_pass, ctx, engine)?
+    } else {
+        Relation::new(z)?
+    };
+    head_output(q, &star, ctx, engine)
 }
 
-/// Variables `Z_j = (U_j ∩ U_u) ∪ (Z ∩ at(T[j]))` kept when the subtree
-/// rooted at `j` is joined into its parent `u` (Section 5's output join).
-/// Shared with the hypertree engine, which runs the same output join over
-/// its bag hypergraph, and with the counting sweep in `pq-count`.
-pub fn zj_vars(hg: &Hypergraph, tree: &JoinTree, j: usize, u: usize, z: &[String]) -> Vec<String> {
-    let u_j: BTreeSet<&str> = hg.edge(j).iter().map(|&v| hg.label(v)).collect();
-    let u_u: BTreeSet<&str> = hg.edge(u).iter().map(|&v| hg.label(v)).collect();
-    let subtree: BTreeSet<&str> = tree
-        .subtree_vertices(hg, j)
-        .iter()
-        .map(|&v| hg.label(v))
-        .collect();
-    let mut zj: Vec<String> = Vec::new();
-    for v in u_j.intersection(&u_u) {
-        zj.push((*v).to_string());
-    }
-    for v in z {
-        if subtree.contains(v.as_str()) && !zj.contains(v) {
-            zj.push(v.clone());
-        }
-    }
-    zj
-}
-
-/// Nodes of `tree` grouped by depth: `levels(t)[0]` is the root, deeper
-/// levels follow. Processing levels deepest-first is a valid bottom-up
-/// schedule (every node's children are reduced one level earlier), and all
-/// semijoins *within* one level touch distinct parents, so they can run
-/// concurrently; that is the schedule the passes below (and the counting
-/// sweep in `pq-count`) use.
-pub fn levels(tree: &JoinTree) -> Vec<Vec<usize>> {
-    let mut depth = vec![0usize; tree.num_nodes()];
-    for j in tree.top_down() {
-        if let Some(u) = tree.parent(j) {
-            depth[j] = depth[u] + 1;
-        }
-    }
-    let maxd = depth.iter().copied().max().unwrap_or(0);
-    let mut lv: Vec<Vec<usize>> = vec![Vec::new(); maxd + 1];
-    for (j, &d) in depth.iter().enumerate() {
-        lv[d].push(j);
-    }
-    lv
-}
-
-/// The nodes of level `d - 1` that have children (all of which sit on level
-/// `d`): the units of work of one bottom-up step.
-fn parents_above(tree: &JoinTree, lv: &[Vec<usize>], d: usize) -> Vec<usize> {
-    lv[d - 1]
-        .iter()
-        .copied()
-        .filter(|&u| !tree.children(u).is_empty())
-        .collect()
-}
-
-/// Bottom-up semijoin pass scheduled level-by-level: every parent of a level
-/// reduces as one fan-out task, applying its children in child order, so
-/// intermediate relations — and hence budget charges — are the same at any
-/// degree. Returns `false` as soon as a non-root relation is found empty. A
-/// level with a single parent (e.g. every level of a chain query) instead
-/// runs the data-parallel semijoin kernel, which is byte-identical to the
-/// serial one.
+/// Upward semijoin pass (full-reducer half 1): `P_u := P_u ⋉ P_j`. `false`
+/// when some relation is, or is left, empty — then `Q(d)` is.
 pub(crate) fn upward_pass(
     tree: &JoinTree,
     rels: &mut [Relation],
     ctx: &ExecutionContext,
     engine: &'static str,
 ) -> Result<bool> {
-    let lv = levels(tree);
-    for d in (1..lv.len()).rev() {
-        let parents = parents_above(tree, &lv, d);
-        if let [u] = parents[..] {
-            for &j in tree.children(u) {
-                ctx.tick(engine)?;
-                if rels[j].is_empty() {
-                    return Ok(false);
-                }
-                rels[u] = rels[u].par_semijoin(&rels[j], ctx.pool());
-                ctx.charge_tuples(engine, rels[u].len() as u64)?;
-            }
-        } else {
-            let snapshot: &[Relation] = rels;
-            let reduced: Vec<(Relation, bool)> = ctx.try_run(&parents, |ctx, _, &u| {
-                let mut cur: Option<Relation> = None;
-                let mut dead = false;
-                for &j in tree.children(u) {
-                    ctx.tick(engine)?;
-                    dead |= snapshot[j].is_empty();
-                    let next = cur.as_ref().unwrap_or(&snapshot[u]).semijoin(&snapshot[j]);
-                    ctx.charge_tuples(engine, next.len() as u64)?;
-                    cur = Some(next);
-                }
-                Ok::<_, EngineError>((cur.expect("parents have children"), dead))
-            })?;
-            let mut any_dead = false;
-            for (&u, (cur, dead)) in parents.iter().zip(reduced) {
-                any_dead |= dead;
-                rels[u] = cur;
-            }
-            if any_dead {
-                return Ok(false);
-            }
-        }
-    }
-    Ok(true)
+    fold_up(tree, rels, ctx, engine, |ctx, parent, child, _| {
+        Ok((parent.par_semijoin(child, ctx.pool()), 0))
+    })
 }
 
-/// Top-down semijoin pass, level-by-level: every node of a level reads only
-/// its (already-reduced) parent one level up, so a whole level fans out.
-fn downward_pass(
-    tree: &JoinTree,
-    rels: &mut [Relation],
+/// The output-join step `P_u ⋈ π_keep(P_j)` and the size of the projection.
+pub(crate) fn join_projected(
     ctx: &ExecutionContext,
-    engine: &'static str,
-) -> Result<()> {
-    let lv = levels(tree);
-    for nodes in lv.iter().skip(1) {
-        if let [j] = nodes[..] {
-            let u = tree.parent(j).expect("non-root level");
-            ctx.tick(engine)?;
-            rels[j] = rels[j].par_semijoin(&rels[u], ctx.pool());
-            ctx.charge_tuples(engine, rels[j].len() as u64)?;
-        } else {
-            let snapshot: &[Relation] = rels;
-            let reduced: Vec<Relation> = ctx.try_run(nodes, |ctx, _, &j| {
-                let u = tree.parent(j).expect("non-root level");
-                ctx.tick(engine)?;
-                let out = snapshot[j].semijoin(&snapshot[u]);
-                ctx.charge_tuples(engine, out.len() as u64)?;
-                Ok::<_, EngineError>(out)
-            })?;
-            for (&j, out) in nodes.iter().zip(reduced) {
-                rels[j] = out;
-            }
-        }
-    }
-    Ok(())
+    parent: &Relation,
+    child: &Relation,
+    keep: &[String],
+) -> Result<(Relation, usize)> {
+    let projected = child.project_onto(keep);
+    let joined = parent.par_natural_join(&projected, ctx.pool())?;
+    Ok((joined, projected.len()))
 }
 
-/// Bottom-up join + project phase: `P_u := P_u ⋈ π_{Z_j}(P_j)` with
-/// `Z_j` from [`zj_vars`], scheduled level-by-level like [`upward_pass`]
-/// (levels join into distinct parents concurrently). Returns `false` as
-/// soon as an intermediate relation empties — the caller's output is empty.
-fn output_join(
-    hg: &Hypergraph,
+/// The tail every enumerating sweep shares once no tuple of a parent lacks a
+/// partner in a child — after [`upward_pass`], or after Algorithm 1, which
+/// joined every child into its parent: the downward semijoin pass
+/// `P_j := P_j ⋉ P_u` (full-reducer half 2, removes dangling tuples;
+/// skippable), the bottom-up output join `P_u := P_u ⋈ π_{keep[j]}(P_j)`, and
+/// `P* = π_Z(P_root)`, where `keep` is [`keep_lists`] for `Z`. This *is*
+/// Algorithm 2 when the nodes are color coding's `P_j`.
+///
+/// `rels` is borrowed, not consumed: the caller drops the node relations
+/// after it has built the answer from `P*`. An answer allocated into the
+/// holes they leave stays interleaved with later evaluations' intermediates
+/// for as long as a cache keeps it, which cost `wire-write` 9 % of its
+/// throughput when this function took them by value.
+pub(crate) fn join_reduced(
     tree: &JoinTree,
+    keep: &[Vec<String>],
     rels: &mut [Relation],
-    z: &[String],
+    downward_pass: bool,
     ctx: &ExecutionContext,
     engine: &'static str,
-) -> Result<bool> {
-    let lv = levels(tree);
-    for d in (1..lv.len()).rev() {
-        let parents = parents_above(tree, &lv, d);
-        if let [u] = parents[..] {
-            for &j in tree.children(u) {
-                ctx.tick(engine)?;
-                let projected = rels[j].project_onto(&zj_vars(hg, tree, j, u, z));
-                rels[u] = rels[u].par_natural_join(&projected, ctx.pool())?;
-                ctx.charge_tuples(engine, (projected.len() + rels[u].len()) as u64)?;
-            }
-        } else {
-            let snapshot: &[Relation] = rels;
-            let joined: Vec<Relation> = ctx.try_run(&parents, |ctx, _, &u| {
-                let mut cur: Option<Relation> = None;
-                for &j in tree.children(u) {
-                    ctx.tick(engine)?;
-                    let projected = snapshot[j].project_onto(&zj_vars(hg, tree, j, u, z));
-                    let next = cur
-                        .as_ref()
-                        .unwrap_or(&snapshot[u])
-                        .natural_join(&projected)?;
-                    ctx.charge_tuples(engine, (projected.len() + next.len()) as u64)?;
-                    cur = Some(next);
-                }
-                Ok::<_, EngineError>(cur.expect("parents have children"))
-            })?;
-            for (&u, cur) in parents.iter().zip(joined) {
-                rels[u] = cur;
-            }
-        }
-        if parents.iter().any(|&u| rels[u].is_empty()) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+) -> Result<Relation> {
+    let alive = (!downward_pass
+        || push_down(tree, rels, ctx, engine, |ctx, node, parent, _| {
+            Ok::<_, EngineError>(node.par_semijoin(parent, ctx.pool()))
+        })?)
+        && fold_up(tree, rels, ctx, engine, |ctx, parent, child, j| {
+            join_projected(ctx, parent, child, &keep[j])
+        })?;
+    let z: Vec<&str> = keep[tree.root()].iter().map(String::as_str).collect();
+    let star = if alive {
+        rels[tree.root()].project(&z)?
+    } else {
+        Relation::new(z)?
+    };
+    ctx.charge_tuples(engine, star.len() as u64)?;
+    Ok(star)
 }
 
 #[cfg(test)]
@@ -612,28 +446,6 @@ mod tests {
             atom_relation(&a, &db),
             Err(EngineError::Unsupported(_))
         ));
-    }
-
-    #[test]
-    fn levels_group_by_depth() {
-        // 1 -> 0 <- 2, 3 -> 1  (root 0)
-        let t = JoinTree::from_parents(vec![None, Some(0), Some(0), Some(1)]);
-        assert_eq!(levels(&t), vec![vec![0], vec![1, 2], vec![3]]);
-    }
-
-    #[test]
-    fn zj_vars_track_connecting_and_z_vars() {
-        let hg = Hypergraph::from_edges([vec!["x", "y"], vec!["y", "z"], vec!["z", "w"]]);
-        // path 0 -> 1 -> 2, root 2
-        let t = JoinTree::from_parents(vec![Some(1), Some(2), None]);
-        // No tracked vars: just the connector.
-        assert_eq!(zj_vars(&hg, &t, 0, 1, &[]), vec!["y".to_string()]);
-        // Tracking x keeps it through the join even though the parent
-        // lacks it.
-        assert_eq!(
-            zj_vars(&hg, &t, 0, 1, &["x".to_string()]),
-            vec!["y".to_string(), "x".to_string()]
-        );
     }
 
     #[test]

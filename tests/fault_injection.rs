@@ -13,12 +13,12 @@ use std::time::Duration;
 
 use pq_core::evaluate_with_fallback;
 use pq_data::{tuple, Database};
-use pq_engine::colorcoding::{self, ColorCodingOptions};
+use pq_engine::colorcoding::{self, formula_neq, ColorCodingOptions, HashFamily, NeqFormula};
 use pq_engine::datalog_eval::{self, Strategy};
 use pq_engine::governor::{CancellationToken, ExecutionContext, FaultSpec, ResourceKind};
 use pq_engine::{algebra_compile, fo_eval, naive, naive_indexed, positive_eval, yannakakis};
 use pq_engine::{EngineError, Result};
-use pq_query::{parse_cq, parse_datalog, parse_fo, parse_positive};
+use pq_query::{parse_cq, parse_datalog, parse_fo, parse_positive, Term};
 
 const KINDS: [ResourceKind; 4] = [
     ResourceKind::Timeout,
@@ -118,6 +118,9 @@ fn colorcoding_unwinds_with_every_injected_kind() {
     let db = big_db();
     let q = parse_cq("G(e) :- EP(e, p), EP(e, p2), p != p2.").unwrap();
     let opts = ColorCodingOptions::default();
+    // The same inequality as a formula over the pure body.
+    let pure = parse_cq("G(e) :- EP(e, p), EP(e, p2).").unwrap();
+    let phi = NeqFormula::neq(Term::var("p"), Term::var("p2"));
     for kind in KINDS {
         assert_exhausted(
             colorcoding::evaluate_governed(&q, &db, &opts, &faulted(kind)),
@@ -128,6 +131,11 @@ fn colorcoding_unwinds_with_every_injected_kind() {
             colorcoding::is_nonempty_governed(&q, &db, &opts, &faulted(kind)),
             kind,
             "color-coding emptiness",
+        );
+        assert_exhausted(
+            formula_neq::evaluate(&pure, &phi, &db, &HashFamily::Perfect, &faulted(kind)),
+            kind,
+            "color-coding formula-≠",
         );
     }
 }

@@ -86,7 +86,8 @@ fn formula_neq_extension_on_loaded_data() {
         NeqFormula::neq(Term::var("p"), Term::cons("db")),
         NeqFormula::neq(Term::var("m"), Term::cons("bob")),
     ]);
-    let fast = formula_neq::evaluate(&q, &phi, &db, &HashFamily::Perfect).unwrap();
+    let ctx = pq_engine::ExecutionContext::unlimited();
+    let fast = formula_neq::evaluate(&q, &phi, &db, &HashFamily::Perfect, &ctx).unwrap();
     let slow = formula_neq::evaluate_naive(&q, &phi, &db).unwrap();
     assert_eq!(fast, slow);
     // ann works on web (≠ db) → qualifies; cid works on web and ml → qualifies.
