@@ -8,7 +8,7 @@
 //! * `plan_warm`   — plan cache only: evaluation still runs, but from the
 //!   stored plan (no re-parse, no re-classification);
 //! * `result_warm` — both levels on and pre-warmed: the request is answered
-//!   from the result cache without touching the worker pool.
+//!   from the result cache without touching the admission gate.
 //!
 //! The acceptance bar from ISSUE 2: `result_warm` at least 10× below
 //! `cold`. `repro` checks the same ratio programmatically; this bench

@@ -16,11 +16,12 @@ use crate::wal::RecoveryError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ServiceError {
-    /// Admission control rejected the request: the worker queue was full.
+    /// Admission control rejected the request: every evaluation slot was
+    /// taken and as many requests as may wait for one already did.
     /// Structured, immediate backpressure — the service never queues
     /// unboundedly.
     Overloaded {
-        /// The bounded queue depth that was full.
+        /// The [`crate::ServiceConfig::queue_depth`] that was reached.
         queue_depth: usize,
     },
     /// The named database is not in the catalog.
@@ -37,7 +38,7 @@ pub enum ServiceError {
     ShuttingDown,
     /// A malformed wire-protocol request.
     Protocol(String),
-    /// The service configuration is invalid (e.g. the worker pool times the
+    /// The service configuration is invalid (e.g. `workers` times the
     /// intra-query parallelism degree oversubscribes
     /// [`crate::service::MAX_TOTAL_THREADS`]).
     InvalidConfig(String),

@@ -17,10 +17,12 @@
 //!   → finish`, see [`service`]), with one cache-lookup site and one
 //!   cache-fill site that `EXPLAIN`, `ANALYZE`, `SUBSCRIBE` and view
 //!   maintenance share;
-//! * a fixed-size worker pool with a bounded job queue: when the queue is
-//!   full, requests are rejected *before* any work happens with a
-//!   structured [`ServiceError::Overloaded`] (admission control, not
-//!   unbounded queueing). Every admitted job runs under a
+//! * an admission gate in place of a thread pool: a request is evaluated
+//!   on the thread that brought it, at most [`ServiceConfig::workers`]
+//!   evaluations run at once and at most [`ServiceConfig::queue_depth`]
+//!   wait; past that, requests are rejected *before* any work happens with
+//!   a structured [`ServiceError::Overloaded`] (admission control, not
+//!   unbounded queueing). Every admitted evaluation runs under a
 //!   [`pq_engine::ExecutionContext`] deadline/budget derived from
 //!   per-request [`RequestLimits`], and is cooperatively cancelled on
 //!   shutdown;
@@ -78,6 +80,7 @@ pub mod cache;
 pub mod catalog;
 pub mod durable;
 pub mod error;
+mod gate;
 pub mod metrics;
 pub mod protocol;
 pub mod server;

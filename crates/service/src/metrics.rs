@@ -81,7 +81,8 @@ fn percentile(buckets: &[u64; BUCKETS], p: f64) -> u64 {
 pub struct ServiceMetrics {
     /// Queries answered successfully (from any cache level or evaluation).
     pub queries_served: AtomicU64,
-    /// Jobs admitted to the worker queue.
+    /// Evaluations admitted by the gate: into a slot, or into the waiting
+    /// set (counted before they wait).
     pub jobs_admitted: AtomicU64,
     /// Requests rejected by admission control (`Overloaded`).
     pub rejected_overload: AtomicU64,
@@ -215,7 +216,8 @@ impl ServiceMetrics {
 pub struct MetricsSnapshot {
     /// Queries answered successfully.
     pub queries_served: u64,
-    /// Jobs admitted to the worker queue.
+    /// Evaluations admitted by the gate: into a slot, or into the waiting
+    /// set (counted before they wait).
     pub jobs_admitted: u64,
     /// Requests rejected by admission control.
     pub rejected_overload: u64,

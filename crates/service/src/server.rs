@@ -3,9 +3,12 @@
 //!
 //! One thread accepts connections; each connection gets a handler thread
 //! that reads request lines and writes framed responses (see
-//! [`crate::protocol`]). Concurrency control lives in the *service* — a
-//! flood of connections contends on the bounded job queue and is shed with
-//! `ERR overloaded`, not on unbounded server-side buffers.
+//! [`crate::protocol`]) and evaluates each request itself: the service owns
+//! no threads. A handler whose connection has ended serves the next one
+//! instead of exiting (see `dispatch`), so the memory evaluations allocate
+//! stays with the same few threads. Concurrency control lives in the
+//! *service* — a flood of connections contends on its admission gate and is
+//! shed with `ERR overloaded`, not on unbounded server-side buffers.
 //!
 //! The protocol is **unauthenticated**, so the filesystem-touching verb is
 //! sandboxed: `LOAD` paths must be relative (no `..`) and resolve under a
@@ -25,17 +28,21 @@
 //! (see [`ServerOptions`]). A client that stalls mid-request or stops
 //! draining its response gets a best-effort `ERR request-timeout` and its
 //! connection closed — one dead peer cannot pin a handler thread forever.
+//! A request line longer than `MAX_REQUEST_BYTES` (1 MiB) is answered with
+//! one `ERR proto` line and its connection closed, so no client can grow the
+//! server's line buffer without bound.
 //!
 //! The wire `SHUTDOWN` verb performs a **graceful drain**: the service
 //! stops admitting, in-flight requests finish under their own governors,
 //! and — when durability is configured — the final catalog state is sealed
 //! in a snapshot before `OK bye` is written.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::collections::BTreeMap;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Component, Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -47,6 +54,12 @@ use crate::protocol::{
     render_stats_response, render_subscribe_response, Request, END,
 };
 use crate::service::QueryService;
+
+/// Longest request line accepted, not counting its `\n`. The socket is
+/// unauthenticated, so the line buffer must not grow with what a client
+/// sends; the largest request in this repository's tests, examples and
+/// benchmark is about 120 bytes.
+const MAX_REQUEST_BYTES: u64 = 1 << 20;
 
 /// Server knobs beyond the address (see [`serve_with_options`]).
 #[derive(Debug, Clone)]
@@ -184,19 +197,78 @@ pub fn serve_with_options(
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let conn_shared = Arc::clone(&accept_shared);
-                // Handlers are detached: they die with their connection
-                // (every post-shutdown request is answered with
-                // `ERR shutting-down`, so lingering clients drain cleanly).
-                let _ = std::thread::Builder::new()
-                    .name("pq-service-conn".into())
-                    .spawn(move || handle_connection(stream, &conn_shared));
+                dispatch(Conn {
+                    stream,
+                    shared: Arc::clone(&accept_shared),
+                });
             }
         })?;
     Ok(ServerHandle {
         shared,
         accept: Some(accept),
     })
+}
+
+/// An accepted connection on its way to the thread that will serve it.
+struct Conn {
+    stream: TcpStream,
+    shared: Arc<Shared>,
+}
+
+/// Handler threads parked between connections, by spawn number.
+static PARKED: Mutex<BTreeMap<u64, mpsc::Sender<Conn>>> = Mutex::new(BTreeMap::new());
+static HANDLERS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// Most handler threads kept parked; one that finishes beyond that exits.
+const MAX_PARKED: usize = 64;
+
+fn parked() -> MutexGuard<'static, BTreeMap<u64, mpsc::Sender<Conn>>> {
+    PARKED.lock().expect("parked handlers poisoned")
+}
+
+/// Give `conn` a handler thread: the lowest-numbered parked one, or a new
+/// one. A handler whose connection has ended parks for the next, of this
+/// server or a later one in the process, instead of exiting. A request is
+/// evaluated on its connection's thread, so what it allocates — a cached
+/// answer above all — lives in that thread's allocator arena, and freed
+/// memory is reused only by threads of the same arena: with a new thread
+/// per connection the resident set would depend on which arena each new
+/// thread happened to be given. Taking the lowest number, not the latest
+/// to park, keeps the choice independent of the order in which connections
+/// happened to close.
+fn dispatch(mut conn: Conn) {
+    let lowest = parked().pop_first();
+    if let Some((_, handler)) = lowest {
+        // A parked handler waits in `recv` below, so this goes through.
+        match handler.send(conn) {
+            Ok(()) => return,
+            Err(mpsc::SendError(back)) => conn = back,
+        }
+    }
+    let id = HANDLERS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+    // Handlers are detached: a lingering client keeps its handler after the
+    // server stops (every post-shutdown request is answered with
+    // `ERR shutting-down`, so lingering clients drain cleanly).
+    let _ = std::thread::Builder::new()
+        .name("pq-service-conn".into())
+        .spawn(move || loop {
+            let Conn { stream, shared } = conn;
+            handle_connection(stream, &shared);
+            // A parked thread must not keep a stopped service alive.
+            drop(shared);
+            let (next, parking) = mpsc::channel();
+            {
+                let mut parked = parked();
+                if parked.len() >= MAX_PARKED {
+                    return;
+                }
+                parked.insert(id, next);
+            }
+            conn = match parking.recv() {
+                Ok(next) => next,
+                Err(_) => return,
+            };
+        });
 }
 
 fn write_lines(stream: &mut TcpStream, lines: &[String]) -> io::Result<()> {
@@ -335,8 +407,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     };
     let mut writer = stream;
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
+        let mut line = Vec::new();
+        match reader
+            .by_ref()
+            .take(MAX_REQUEST_BYTES + 1)
+            .read_until(b'\n', &mut line)
+        {
             Ok(0) => break,
             Ok(_) => {}
             Err(e) if is_timeout(&e) => {
@@ -347,6 +423,16 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             }
             Err(_) => break,
         }
+        if line.len() as u64 > MAX_REQUEST_BYTES && !line.ends_with(b"\n") {
+            // The rest of the line cannot be resynchronised: answer, close.
+            let e =
+                ServiceError::Protocol(format!("request line exceeds {MAX_REQUEST_BYTES} bytes"));
+            let _ = write_lines(&mut writer, &[render_error(&e)]);
+            break;
+        }
+        let Ok(line) = String::from_utf8(line) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -482,6 +568,49 @@ mod tests {
                 "must reject: {escape}"
             );
         }
+    }
+
+    /// No other test of this binary opens a connection, so the parked
+    /// handlers and the spawn count are this test's own.
+    #[test]
+    fn a_finished_handler_serves_the_next_connection_lowest_number_first() {
+        let start = || serve("127.0.0.1:0", Arc::new(QueryService::with_defaults())).unwrap();
+        let connect = |server: &ServerHandle| {
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            let stats = roundtrip(&mut conn, "STATS").unwrap();
+            assert!(stats[0].starts_with("OK"), "{stats:?}");
+            conn
+        };
+        let parked_are = |want: &[u64]| {
+            while parked().keys().copied().collect::<Vec<_>>() != want {
+                std::thread::yield_now();
+            }
+        };
+
+        // One connection after another, across two servers: one thread.
+        let first = start();
+        drop(connect(&first));
+        parked_are(&[0]);
+        drop(connect(&first));
+        parked_are(&[0]);
+        first.stop();
+        let second = start();
+        let a = connect(&second);
+        parked_are(&[]);
+        assert_eq!(HANDLERS_SPAWNED.load(Ordering::Relaxed), 1);
+
+        // Two at once need a second thread. Whichever parks last, the next
+        // connection goes to the lower number.
+        let b = connect(&second);
+        assert_eq!(HANDLERS_SPAWNED.load(Ordering::Relaxed), 2);
+        drop(a);
+        parked_are(&[0]);
+        drop(b);
+        parked_are(&[0, 1]);
+        let c = connect(&second);
+        parked_are(&[1]);
+        drop(c);
+        second.stop();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The embeddable, thread-safe query service.
 //!
 //! One [`QueryService`] owns a [`Catalog`] of named databases, a two-level
-//! cache, and a fixed pool of worker threads behind a **bounded** job queue:
+//! cache, and an admission gate. It owns no threads: a request runs, start
+//! to finish, on the thread that brought it. The two cache levels:
 //!
 //! * **Plan cache** (level 1): `(canonical query form, counting?)`
 //!   ([`pq_query::canonical_form`], computed from the parsed AST — so it is
@@ -40,8 +41,8 @@
 //!    caller's thread.
 //! 4. `view` (answer mode only) — under the views lock, match the query
 //!    against the database's live views and answer by scanning one.
-//! 5. `run` — admit a job to the bounded queue and block for the worker,
-//!    which makes the one `match` on the result mode.
+//! 5. `run` — pass the admission gate and evaluate, still on the caller's
+//!    thread; makes the one `match` on the result mode.
 //! 6. `fill` — the only result-cache write; also how `SUBSCRIBE` primes the
 //!    cache and how view maintenance patches it in place.
 //! 7. `finish` — stamp the latency, build the only [`QueryResponse`], and
@@ -64,21 +65,21 @@
 //! result-cache hit without re-evaluating. A batch that changes nothing
 //! leaves generation, epochs, WAL and cache keys untouched.
 //!
-//! **Admission control**: evaluation jobs go through a bounded queue to a
-//! fixed worker pool. When the queue is full the request is rejected
-//! *immediately* with [`ServiceError::Overloaded`] — structured
-//! backpressure instead of unbounded queueing. Result-cache hits are served
-//! on the caller's thread and bypass admission entirely (a lookup needs no
-//! worker). Every admitted job runs under an [`ExecutionContext`] whose
-//! deadline/budget come from per-request [`RequestLimits`] (falling back to
-//! service defaults) and whose cancellation token trips on
-//! [`QueryService::shutdown`].
+//! **Admission control**: an evaluation starts only inside the gate
+//! (`crate::gate`): at most [`ServiceConfig::workers`] run at once, at most
+//! [`ServiceConfig::queue_depth`] more park for a turn, and past that the
+//! request is rejected *immediately* with [`ServiceError::Overloaded`] —
+//! structured backpressure instead of unbounded queueing. Result-cache
+//! hits, view scans and the other verbs never touch the gate (a lookup
+//! needs no slot). Every admitted evaluation runs under an
+//! [`ExecutionContext`] whose deadline/budget come from per-request
+//! [`RequestLimits`] (falling back to service defaults) and whose
+//! cancellation token trips on [`QueryService::shutdown`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pq_analyze::Analysis;
@@ -98,6 +99,7 @@ use crate::cache::ShardedCache;
 use crate::catalog::{Catalog, DbSnapshot};
 use crate::durable::{Durability, DurabilityConfig, RecoveryStats, SnapshotSummary};
 use crate::error::{Result, ServiceError};
+use crate::gate::Gate;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 
 /// Per-request resource limits. `None` fields fall back to the service's
@@ -123,21 +125,23 @@ impl RequestLimits {
 }
 
 /// Upper bound on `workers × intra_query_threads`: the worst-case number of
-/// threads simultaneously evaluating queries (each of the `workers` job
-/// threads may fan an evaluation out over `intra_query_threads` scoped
-/// threads). Configurations that oversubscribe this cap are rejected by
-/// [`QueryService::try_new`] — an oversubscribed service does not fail, it
-/// just context-switches its own parallelism away, which is exactly the
-/// silent degradation a validation error is cheaper than.
+/// threads simultaneously evaluating queries (each of the `workers`
+/// evaluations the gate lets run at once may fan out over
+/// `intra_query_threads` scoped threads). Configurations that oversubscribe
+/// this cap are rejected by [`QueryService::try_new`] — an oversubscribed
+/// service does not fail, it just context-switches its own parallelism
+/// away, which is exactly the silent degradation a validation error is
+/// cheaper than.
 pub const MAX_TOTAL_THREADS: usize = 64;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads evaluating admitted jobs (inter-query parallelism).
+    /// Evaluations that may run at once (inter-query parallelism), each on
+    /// the thread of the request that needs it; clamped to at least 1.
     pub workers: usize,
-    /// Intra-query parallelism degree: the size of the [`Pool`] each worker
-    /// attaches to a request's execution context. `1` keeps evaluation fully
+    /// Intra-query parallelism degree: the size of the [`Pool`] attached to
+    /// a request's execution context. `1` keeps evaluation fully
     /// serial (the pre-parallel behavior). Independent of [`workers`]:
     /// `workers` bounds how many queries run at once, this bounds how many
     /// threads each of them may use. Their product is capped by
@@ -145,8 +149,10 @@ pub struct ServiceConfig {
     ///
     /// [`workers`]: ServiceConfig::workers
     pub intra_query_threads: usize,
-    /// Bounded job-queue depth; a full queue rejects with
-    /// [`ServiceError::Overloaded`].
+    /// Evaluations that may wait for one of the `workers` slots; a request
+    /// that finds them all waiting is rejected with
+    /// [`ServiceError::Overloaded`]. `0` means "never wait": rejected
+    /// whenever no slot is free.
     pub queue_depth: usize,
     /// Plan-cache capacity in entries, answer plans and count plans
     /// together (0 disables).
@@ -478,8 +484,8 @@ impl Prepared {
     }
 }
 
-/// Why [`Inner::prepare`] refused a query text: the error, plus the AST
-/// when the text parsed but failed validation (`ANALYZE` explains those).
+/// Why [`QueryService::prepare`] refused a query text: the error, plus the
+/// AST when the text parsed but failed validation (`ANALYZE` explains those).
 struct Rejected {
     error: QueryError,
     query: Option<Box<ConjunctiveQuery>>,
@@ -555,17 +561,6 @@ fn governor_ctx(limits: RequestLimits, cancel: &CancellationToken) -> ExecutionC
         ctx = ctx.with_max_depth(d);
     }
     ctx
-}
-
-/// An admitted evaluation: the prepared query (its plan variant says
-/// whether a relation or a count is wanted), the `@count_by` group list if
-/// any, the data, and the governor.
-struct Job {
-    prepared: Arc<Prepared>,
-    groups: Option<Vec<String>>,
-    db: Arc<Database>,
-    ctx: ExecutionContext,
-    reply: SyncSender<Result<Arc<Relation>>>,
 }
 
 /// Summary of a row-level mutation (the wire `INSERT`/`DELETE` response).
@@ -655,7 +650,8 @@ struct ViewsState {
     next_sub: u64,
 }
 
-struct Inner {
+/// The concurrent query service (see the module docs).
+pub struct QueryService {
     catalog: Catalog,
     /// `(canonical query form, counting?)` → [`Prepared`]: answer plans and
     /// count plans of one query are separate entries of the one map.
@@ -669,7 +665,9 @@ struct Inner {
     /// also attached to `catalog` (which journals through it) — kept here
     /// for stats and recovery reporting.
     durability: Option<Arc<Durability>>,
-    /// Intra-query execution pool descriptor, shared by all workers so pool
+    /// Admission control for stage `run` (see [`crate::gate`]).
+    gate: Gate,
+    /// Intra-query execution pool descriptor, shared by all requests so pool
     /// occupancy and task counters aggregate service-wide (the pool spawns
     /// scoped threads per run; it owns no threads of its own).
     exec: Pool,
@@ -677,15 +675,8 @@ struct Inner {
     views: Mutex<ViewsState>,
 }
 
-/// The concurrent query service (see the module docs).
-pub struct QueryService {
-    inner: Arc<Inner>,
-    job_tx: Mutex<Option<SyncSender<Job>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
 impl QueryService {
-    /// Start a service: spawns the worker pool immediately.
+    /// Start a service.
     ///
     /// # Panics
     /// If the configuration oversubscribes [`MAX_TOTAL_THREADS`]; use
@@ -726,34 +717,18 @@ impl QueryService {
             }
             None => None,
         };
-        let inner = Arc::new(Inner {
+        Ok(QueryService {
             catalog,
             plan_cache: ShardedCache::new(config.plan_cache_capacity, config.cache_shards),
             result_cache: ShardedCache::new(config.result_cache_capacity, config.cache_shards),
             metrics: ServiceMetrics::default(),
+            gate: Gate::new(config.workers, config.queue_depth),
             exec: Pool::new(config.intra_query_threads.max(1)),
             config,
             shutdown: AtomicBool::new(false),
             cancel: CancellationToken::new(),
             durability,
             views: Mutex::new(ViewsState::default()),
-        });
-        let (tx, rx) = mpsc::sync_channel::<Job>(inner.config.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..inner.config.workers.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("pq-service-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &inner))
-                    .expect("spawn worker")
-            })
-            .collect();
-        Ok(QueryService {
-            inner,
-            job_tx: Mutex::new(Some(tx)),
-            workers: Mutex::new(workers),
         })
     }
 
@@ -764,12 +739,12 @@ impl QueryService {
 
     /// The service configuration.
     pub fn config(&self) -> &ServiceConfig {
-        &self.inner.config
+        &self.config
     }
 
     /// Has [`QueryService::shutdown`] been called?
     pub fn is_shutdown(&self) -> bool {
-        self.inner.shutdown.load(Ordering::Acquire)
+        self.shutdown.load(Ordering::Acquire)
     }
 
     fn check_admitting(&self) -> Result<()> {
@@ -809,11 +784,11 @@ impl QueryService {
     /// answer diff, views that no longer materialize are dropped).
     fn install(&self, name: &str, db: Database) -> Result<LoadSummary> {
         let (relations, tuples, epoch) = (db.num_relations(), db.num_tuples(), db.epoch());
-        let mut views = self.inner.views.lock().expect("views poisoned");
-        let generation = self.inner.catalog.insert(name, db)?;
-        ServiceMetrics::bump(&self.inner.metrics.loads);
+        let mut views = self.views.lock().expect("views poisoned");
+        let generation = self.catalog.insert(name, db)?;
+        ServiceMetrics::bump(&self.metrics.loads);
         if views.registries.contains_key(name) {
-            let snap = self.inner.catalog.snapshot(name)?;
+            let snap = self.catalog.snapshot(name)?;
             self.maintain_views(&mut views, &snap, None);
         }
         Ok(LoadSummary {
@@ -836,11 +811,11 @@ impl QueryService {
     /// [`ServiceError::ShuttingDown`] after [`QueryService::shutdown`].
     pub fn update_database<R>(&self, name: &str, f: impl FnOnce(&mut Database) -> R) -> Result<R> {
         self.check_admitting()?;
-        let mut views = self.inner.views.lock().expect("views poisoned");
-        let out = self.inner.catalog.update(name, f)?;
-        ServiceMetrics::bump(&self.inner.metrics.mutations);
+        let mut views = self.views.lock().expect("views poisoned");
+        let out = self.catalog.update(name, f)?;
+        ServiceMetrics::bump(&self.metrics.mutations);
         if views.registries.contains_key(name) {
-            let snap = self.inner.catalog.snapshot(name)?;
+            let snap = self.catalog.snapshot(name)?;
             self.maintain_views(&mut views, &snap, None);
         }
         Ok(out)
@@ -856,10 +831,10 @@ impl QueryService {
     /// [`ServiceError::ShuttingDown`] after [`QueryService::shutdown`].
     pub fn drop_database(&self, name: &str) -> Result<bool> {
         self.check_admitting()?;
-        let mut views = self.inner.views.lock().expect("views poisoned");
-        let existed = self.inner.catalog.remove(name)?;
+        let mut views = self.views.lock().expect("views poisoned");
+        let existed = self.catalog.remove(name)?;
         if existed {
-            ServiceMetrics::bump(&self.inner.metrics.drops);
+            ServiceMetrics::bump(&self.metrics.drops);
             self.drop_views(&mut views, name);
         }
         Ok(existed)
@@ -914,13 +889,12 @@ impl QueryService {
         // The views lock is taken before any catalog lock (the ordering every
         // path follows), so maintenance passes observe mutations in the order
         // they were applied.
-        let mut views = self.inner.views.lock().expect("views poisoned");
+        let mut views = self.views.lock().expect("views poisoned");
         let rel = relation.to_string();
         // A batch that changes nothing — duplicates, absent rows, or one the
         // row methods reject (unknown relation, wrong arity) — leaves the
         // generation, the epochs, the WAL and so every cache key untouched.
         let delta = self
-            .inner
             .catalog
             .apply(db_name, true, |db| -> Result<RelationDelta> {
                 let (added, removed) = if delete {
@@ -934,8 +908,8 @@ impl QueryService {
                     removed,
                 })
             })??;
-        ServiceMetrics::bump(&self.inner.metrics.mutations);
-        let snap = self.inner.catalog.snapshot(db_name)?;
+        ServiceMetrics::bump(&self.metrics.mutations);
+        let snap = self.catalog.snapshot(db_name)?;
         let applied = delta.added.len() + delta.removed.len();
         let outcomes = if applied > 0 {
             self.maintain_views(&mut views, &snap, Some(&[delta]))
@@ -977,22 +951,22 @@ impl QueryService {
     /// [`ServiceError::ShuttingDown`] after [`QueryService::shutdown`].
     pub fn subscribe(&self, db_name: &str, src: &str) -> Result<Subscription> {
         self.check_admitting()?;
-        let mut views = self.inner.views.lock().expect("views poisoned");
-        let snap = self.inner.catalog.snapshot(db_name)?;
+        let mut views = self.views.lock().expect("views poisoned");
+        let snap = self.catalog.snapshot(db_name)?;
         let (query, cached) = if src.contains("?-") {
             (
                 ViewQuery::Program(pq_query::parse_datalog(src)?),
                 Vec::new(),
             )
         } else {
-            let (answer, _) = self.inner.prepare(src, false)?;
-            let (count, _) = self.inner.prepare(src, true)?;
+            let (answer, _) = self.prepare(src, false)?;
+            let (count, _) = self.prepare(src, true)?;
             (ViewQuery::Cq(answer.query.clone()), vec![answer, count])
         };
         let id = views.next_sub;
         let proposed = format!("sub-{id}");
-        let limits = self.inner.config.default_limits;
-        let ctx = governor_ctx(limits, &self.inner.cancel);
+        let limits = self.config.default_limits;
+        let ctx = governor_ctx(limits, &self.cancel);
         // Deduplicate: a view equivalent to an already-registered one is
         // reused (its maintained answer is shared), not materialized and
         // maintained twice.
@@ -1003,9 +977,9 @@ impl QueryService {
             .register_or_reuse(proposed.clone(), query, &snap.db, &ctx)?;
         views.next_sub += 1;
         if view_name == proposed {
-            ServiceMetrics::bump(&self.inner.metrics.views_registered);
+            ServiceMetrics::bump(&self.metrics.views_registered);
         }
-        ServiceMetrics::bump(&self.inner.metrics.subscriptions_active);
+        ServiceMetrics::bump(&self.metrics.subscriptions_active);
         // Prime the result cache: the freshly materialized answer is exactly
         // what a QUERY (or QUERY @count) for the same text would produce.
         self.fill_from_view(&cached, &snap, &rows);
@@ -1030,7 +1004,7 @@ impl QueryService {
     /// The current maintained answer of subscription `id` on `db_name`;
     /// `None` when no such live subscription exists.
     pub fn answer_rows(&self, db_name: &str, id: u64) -> Option<Arc<Relation>> {
-        let views = self.inner.views.lock().expect("views poisoned");
+        let views = self.views.lock().expect("views poisoned");
         let sub = views.subs.get(&id)?;
         if sub.db != db_name {
             return None;
@@ -1041,11 +1015,11 @@ impl QueryService {
     /// End a subscription: deregister its view and disconnect its update
     /// stream. `true` when `id` was live.
     pub fn unsubscribe(&self, id: u64) -> bool {
-        let mut views = self.inner.views.lock().expect("views poisoned");
+        let mut views = self.views.lock().expect("views poisoned");
         let Some(sub) = views.subs.remove(&id) else {
             return false;
         };
-        ServiceMetrics::dec(&self.inner.metrics.subscriptions_active);
+        ServiceMetrics::dec(&self.metrics.subscriptions_active);
         // Deduplicated subscriptions share one registered view: only
         // deregister it when no other live subscription still reads it.
         let shared = views
@@ -1055,7 +1029,7 @@ impl QueryService {
         if !shared {
             if let Some(registry) = views.registries.get_mut(&sub.db) {
                 if registry.deregister(&sub.view) {
-                    ServiceMetrics::dec(&self.inner.metrics.views_registered);
+                    ServiceMetrics::dec(&self.metrics.views_registered);
                 }
                 if registry.is_empty() {
                     views.registries.remove(&sub.db);
@@ -1083,7 +1057,7 @@ impl QueryService {
             return None;
         }
         let q = prepared.analysis().effective(&prepared.query);
-        let limit = self.inner.config.planner.analysis.containment_atom_limit;
+        let limit = self.config.planner.analysis.containment_atom_limit;
         Some((
             registry,
             pq_analyze::match_against_views(q, &shapes, limit)?,
@@ -1098,10 +1072,10 @@ impl QueryService {
     /// lock, so the maintained relation reflects exactly the snapshot's
     /// epochs and the result is safe to cache under the snapshot's key.
     fn view(&self, prepared: &Prepared, db_name: &str) -> Option<(Arc<Relation>, DbSnapshot)> {
-        let views = self.inner.views.lock().expect("views poisoned");
+        let views = self.views.lock().expect("views poisoned");
         let (registry, m) = self.view_match(&views, prepared, db_name)?;
         let answer = registry.answer(&m.view)?;
-        let snap = self.inner.catalog.snapshot(db_name).ok()?;
+        let snap = self.catalog.snapshot(db_name).ok()?;
         // Rebuild under the query's own head attributes even for exact
         // matches, so the response is byte-identical to direct evaluation.
         let q = prepared.analysis().effective(&prepared.query);
@@ -1122,7 +1096,7 @@ impl QueryService {
         let Some(registry) = views.registries.get_mut(&snap.name) else {
             return Vec::new();
         };
-        let (limits, cancel) = (self.inner.config.default_limits, &self.inner.cancel);
+        let (limits, cancel) = (self.config.default_limits, &self.cancel);
         let ctx = || governor_ctx(limits, cancel);
         let start = Instant::now();
         let outcomes = match deltas {
@@ -1146,7 +1120,7 @@ impl QueryService {
         if outcomes.is_empty() {
             return;
         }
-        let m = &self.inner.metrics;
+        let m = &self.metrics;
         m.ivm_maintain.record(elapsed);
         let mut gone: Vec<u64> = Vec::new();
         for o in outcomes {
@@ -1207,14 +1181,14 @@ impl QueryService {
                     Arc::new(count)
                 }
             };
-            self.inner.fill(result_key(p, None, snap), rows);
+            self.fill(result_key(p, None, snap), rows);
         }
     }
 
     /// Deregister every view and subscription on `name` (the database was
     /// dropped); each subscriber receives a final `dropped` update.
     fn drop_views(&self, views: &mut ViewsState, name: &str) {
-        let m = &self.inner.metrics;
+        let m = &self.metrics;
         if let Some(registry) = views.registries.remove(name) {
             for _ in 0..registry.len() {
                 ServiceMetrics::dec(&m.views_registered);
@@ -1254,21 +1228,18 @@ impl QueryService {
     /// [`ServiceError::ShuttingDown`] after [`QueryService::shutdown`].
     pub fn persist(&self) -> Result<SnapshotSummary> {
         self.check_admitting()?;
-        self.inner.catalog.persist()
+        self.catalog.persist()
     }
 
     /// What startup recovery found and did; `None` when the service runs
     /// without durability.
     pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.inner
-            .durability
-            .as_ref()
-            .map(|d| d.recovery_stats().clone())
+        self.durability.as_ref().map(|d| d.recovery_stats().clone())
     }
 
     /// Names in the catalog, sorted.
     pub fn database_names(&self) -> Vec<String> {
-        self.inner.catalog.names()
+        self.catalog.names()
     }
 
     /// Snapshot the named database (for oracles/tests that need the exact
@@ -1277,7 +1248,7 @@ impl QueryService {
     /// # Errors
     /// [`ServiceError::UnknownDatabase`] if `name` is not in the catalog.
     pub fn snapshot(&self, name: &str) -> Result<DbSnapshot> {
-        self.inner.catalog.snapshot(name)
+        self.catalog.snapshot(name)
     }
 
     // ---- planning ----
@@ -1291,13 +1262,13 @@ impl QueryService {
     /// [`ServiceError::ShuttingDown`] after [`QueryService::shutdown`].
     pub fn explain(&self, db_name: &str, src: &str) -> Result<Explanation> {
         self.check_admitting()?;
-        let (prepared, plan_was_cached) = self.inner.prepare(src, false)?;
-        let (snap, key) = self.inner.bind(&prepared, None, db_name)?;
+        let (prepared, plan_was_cached) = self.prepare(src, false)?;
+        let (snap, key) = self.bind(&prepared, None, db_name)?;
         // The probe moves the cache's own hit/miss counters but not the
         // service's `result_hits`/`result_misses`: nothing was served.
-        let result_is_cached = self.inner.lookup(&key).is_some();
+        let result_is_cached = self.lookup(&key).is_some();
         let answered_from_view = {
-            let views = self.inner.views.lock().expect("views poisoned");
+            let views = self.views.lock().expect("views poisoned");
             self.view_match(&views, &prepared, db_name)
                 .map(|(_, m)| m.view)
         };
@@ -1347,10 +1318,10 @@ impl QueryService {
     /// [`ServiceError::ShuttingDown`] after [`QueryService::shutdown`].
     pub fn analyze(&self, db_name: &str, src: &str) -> Result<AnalysisReport> {
         self.check_admitting()?;
-        let snap = self.inner.catalog.snapshot(db_name)?;
+        let snap = self.catalog.snapshot(db_name)?;
         let (prepared, direct);
         let (fingerprint, engine, analysis, diagnostics, plan_was_cached) =
-            match self.inner.prepare(src, false) {
+            match self.prepare(src, false) {
                 Ok((p, cached)) => {
                     prepared = p;
                     (
@@ -1365,7 +1336,7 @@ impl QueryService {
                 Err(Rejected {
                     query: Some(query), ..
                 }) => {
-                    let opts = &self.inner.config.planner.analysis;
+                    let opts = &self.config.planner.analysis;
                     direct = pq_analyze::analyze_with_db(&query, &snap.db, opts);
                     (
                         query.fingerprint(),
@@ -1415,13 +1386,10 @@ impl QueryService {
     /// [`ServiceError::ShuttingDown`] after [`QueryService::shutdown`].
     pub fn analyze_datalog(&self, db_name: &str, src: &str) -> Result<ProgramAnalysisReport> {
         self.check_admitting()?;
-        let snap = self.inner.catalog.snapshot(db_name)?;
+        let snap = self.catalog.snapshot(db_name)?;
         let program = pq_query::parse_datalog(src)?;
-        let a = pq_analyze::analyze_program_with_db(
-            &program,
-            &snap.db,
-            &self.inner.config.planner.analysis,
-        );
+        let a =
+            pq_analyze::analyze_program_with_db(&program, &snap.db, &self.config.planner.analysis);
         let r = &a.report;
         Ok(ProgramAnalysisReport {
             goal: program.goal.clone(),
@@ -1448,12 +1416,14 @@ impl QueryService {
 
     /// Evaluate `src` against the named database under `limits`.
     ///
-    /// Serves from the result cache when possible; otherwise admits a job to
-    /// the worker pool (rejecting with [`ServiceError::Overloaded`] when the
-    /// bounded queue is full) and blocks for the answer.
+    /// Serves from the result cache when possible; otherwise evaluates on
+    /// the calling thread once the admission gate lets it (waiting for a
+    /// free slot, or rejecting with [`ServiceError::Overloaded`] when
+    /// [`ServiceConfig::queue_depth`] evaluations already wait).
     ///
     /// # Errors
-    /// [`ServiceError::Overloaded`] when the queue is full;
+    /// [`ServiceError::Overloaded`] when no slot is free and the waiting set
+    /// is full;
     /// [`ServiceError::Engine`] when a limit in `limits` trips (resource
     /// exhaustion) or evaluation fails;
     /// [`ServiceError::Parse`] for bad query text;
@@ -1503,16 +1473,15 @@ impl QueryService {
     ) -> Result<QueryResponse> {
         let start = Instant::now();
         self.check_admitting()?;
-        let inner = &*self.inner;
-        let m = &inner.metrics;
+        let m = &self.metrics;
         let served = (|| {
-            let (prepared, plan_hit) = inner.prepare(src, mode.is_some())?;
+            let (prepared, plan_hit) = self.prepare(src, mode.is_some())?;
             let groups = match mode {
                 Some(CountMode::Grouped(groups)) => Some(groups.as_slice()),
                 _ => None,
             };
-            let (snap, key) = inner.bind(&prepared, groups, db_name)?;
-            if let Some(rows) = inner.lookup(&key) {
+            let (snap, key) = self.bind(&prepared, groups, db_name)?;
+            if let Some(rows) = self.lookup(&key) {
                 ServiceMetrics::bump(&m.result_hits);
                 if prepared.rekeyed {
                     // The hit was keyed by the minimized core, not the
@@ -1533,189 +1502,17 @@ impl QueryService {
             if mode.is_none() {
                 if let Some((rows, vsnap)) = self.view(&prepared, db_name) {
                     ServiceMetrics::bump(&m.view_answered_queries);
-                    inner.fill(result_key(&prepared, None, &vsnap), Arc::clone(&rows));
+                    self.fill(result_key(&prepared, None, &vsnap), Arc::clone(&rows));
                     return Ok((rows, "view-scan", evaluated, vsnap));
                 }
             }
-            let rows = self.run(&prepared, groups, &snap, limits)?;
-            inner.fill(key, Arc::clone(&rows));
+            let rows = self.run(&prepared, groups, &snap.db, limits)?;
+            self.fill(key, Arc::clone(&rows));
             Ok((rows, prepared.engine, evaluated, snap))
         })();
         self.finish(start, mode.is_some(), served)
     }
 
-    /// Stage `run`: admit one evaluation to the bounded queue (rejecting
-    /// with [`ServiceError::Overloaded`] when it is full) and block for the
-    /// worker's answer.
-    fn run(
-        &self,
-        prepared: &Arc<Prepared>,
-        groups: Option<&[String]>,
-        snap: &DbSnapshot,
-        limits: RequestLimits,
-    ) -> Result<Arc<Relation>> {
-        let limits = limits.or(self.inner.config.default_limits);
-        let (reply_tx, reply_rx) = mpsc::sync_channel::<Result<Arc<Relation>>>(1);
-        let job = Job {
-            prepared: Arc::clone(prepared),
-            groups: groups.map(<[String]>::to_vec),
-            db: Arc::clone(&snap.db),
-            ctx: governor_ctx(limits, &self.inner.cancel),
-            reply: reply_tx,
-        };
-        {
-            let guard = self.job_tx.lock().expect("job_tx poisoned");
-            let Some(tx) = guard.as_ref() else {
-                return Err(ServiceError::ShuttingDown);
-            };
-            match tx.try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    return Err(ServiceError::Overloaded {
-                        queue_depth: self.inner.config.queue_depth,
-                    });
-                }
-                Err(TrySendError::Disconnected(_)) => return Err(ServiceError::ShuttingDown),
-            }
-        }
-        ServiceMetrics::bump(&self.inner.metrics.jobs_admitted);
-        reply_rx.recv().map_err(|_| ServiceError::ShuttingDown)?
-    }
-
-    /// Stage `finish`: stamp the latency, build the response, and account
-    /// for the outcome — the only place a request's fate reaches `STATS`.
-    fn finish(
-        &self,
-        start: Instant,
-        counting: bool,
-        served: Result<(Arc<Relation>, &'static str, CacheOutcome, DbSnapshot)>,
-    ) -> Result<QueryResponse> {
-        let m = &self.inner.metrics;
-        match served {
-            Ok((rows, engine, cache, snap)) => {
-                let latency = start.elapsed();
-                ServiceMetrics::bump(&m.queries_served);
-                m.latency.record(latency);
-                if counting {
-                    ServiceMetrics::bump(&m.count_queries);
-                    m.count_latency.record(latency);
-                }
-                Ok(QueryResponse {
-                    rows,
-                    engine,
-                    cache,
-                    generation: snap.generation,
-                    epoch: snap.epoch,
-                    latency,
-                })
-            }
-            Err(e) => {
-                match &e {
-                    ServiceError::Overloaded { .. } => ServiceMetrics::bump(&m.rejected_overload),
-                    e if e.is_resource_exhausted() => ServiceMetrics::bump(&m.resource_exhausted),
-                    ServiceError::ShuttingDown => {}
-                    _ => ServiceMetrics::bump(&m.errors),
-                }
-                Err(e)
-            }
-        }
-    }
-
-    // ---- observability & lifecycle ----
-
-    /// Point-in-time metrics snapshot (includes cache sizes indirectly via
-    /// the hit/miss counters; see [`MetricsSnapshot`]), with the intra-query
-    /// exec-pool occupancy counters folded in.
-    pub fn stats(&self) -> MetricsSnapshot {
-        let mut s = self.inner.metrics.snapshot();
-        let pool = self.inner.exec.stats();
-        s.exec_threads = pool.threads as u64;
-        s.exec_tasks_run = pool.tasks_run;
-        s.exec_peak_active = pool.peak as u64;
-        if let Some(d) = &self.inner.durability {
-            let c = d.counters();
-            s.wal_appends = c.wal_appends;
-            s.wal_bytes = c.wal_bytes;
-            s.snapshots_taken = c.snapshots_taken;
-            let r = d.recovery_stats();
-            s.recovery_replayed_records = r.replayed_records;
-            s.last_recovery_ms = r.elapsed_ms;
-        }
-        s
-    }
-
-    /// Entries currently in (plan cache, result cache).
-    pub fn cache_sizes(&self) -> (usize, usize) {
-        (self.inner.plan_cache.len(), self.inner.result_cache.len())
-    }
-
-    /// Drop both cache levels — answer plans, count plans and results
-    /// (counters persist). Mainly for benchmarks that want repeatable cold
-    /// runs.
-    pub fn clear_caches(&self) {
-        self.inner.plan_cache.clear();
-        self.inner.result_cache.clear();
-    }
-
-    /// Stop the service: refuse new work, cancel in-flight governed
-    /// evaluations cooperatively, and join the worker pool. Idempotent.
-    pub fn shutdown(&self) {
-        self.stop(true);
-    }
-
-    /// Gracefully drain the service: refuse new work, let already-admitted
-    /// jobs **finish** (unlike [`QueryService::shutdown`], the cancellation
-    /// token is not tripped), join the worker pool, and — when durability
-    /// is on — seal the final state in a snapshot. Idempotent with
-    /// `shutdown`: whichever runs first wins, the other becomes a no-op.
-    ///
-    /// # Errors
-    /// [`ServiceError::Durability`] when the final snapshot fails (the
-    /// service is still stopped).
-    pub fn drain(&self) -> Result<()> {
-        if self.stop(false) && self.inner.durability.is_some() {
-            self.inner.catalog.persist()?;
-        }
-        Ok(())
-    }
-
-    /// The teardown `shutdown` and `drain` share; `false` when the service
-    /// was already stopped. With `cancel`, admitted jobs see the cancelled
-    /// token at their next clock check; without it they finish under their
-    /// own governors.
-    fn stop(&self, cancel: bool) -> bool {
-        if self.inner.shutdown.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-        if cancel {
-            self.inner.cancel.cancel();
-        }
-        // Dropping the subscription senders disconnects every update
-        // stream, so `SUBSCRIBE` loops observe the stop and end.
-        self.inner
-            .views
-            .lock()
-            .expect("views poisoned")
-            .subs
-            .clear();
-        // Dropping the sender disconnects the queue: workers drain what is
-        // already admitted and then exit.
-        self.job_tx.lock().expect("job_tx poisoned").take();
-        let handles = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
-        for h in handles {
-            let _ = h.join();
-        }
-        true
-    }
-}
-
-impl Drop for QueryService {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl Inner {
     /// Stage `prepare`: parse → validate → canonical form → the plan cache,
     /// filling it on a miss with the plan of the requested result mode.
     /// Returns the prepared query and whether it was already cached.
@@ -1806,64 +1603,189 @@ impl Inner {
         self.result_cache.get(key)
     }
 
-    /// Stage `fill`: the only result-cache write — evaluated answers, view
-    /// scans, `SUBSCRIBE` priming and IVM's in-place patches all land here.
-    fn fill(&self, key: ResultKey, rows: Arc<Relation>) {
-        self.result_cache.insert(key, rows);
-    }
-}
-
-fn worker_loop(rx: &Mutex<Receiver<Job>>, inner: &Inner) {
-    loop {
-        // Hold the receiver lock only while blocked on recv; competing
-        // workers queue on the mutex, which is the standard shared-receiver
-        // pool shape for std mpsc.
-        let job = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        let Ok(job) = job else { return };
-        let prepared = &job.prepared;
+    /// Stage `run`: pass the admission gate (rejecting with
+    /// [`ServiceError::Overloaded`] when every slot is taken and the waiting
+    /// set is full) and evaluate on this thread.
+    fn run(
+        &self,
+        prepared: &Prepared,
+        groups: Option<&[String]>,
+        db: &Database,
+        limits: RequestLimits,
+    ) -> Result<Arc<Relation>> {
+        // Built before `enter`: the deadline counts time spent parked.
+        let ctx = governor_ctx(limits.or(self.config.default_limits), &self.cancel);
+        let _permit = self
+            .gate
+            .enter(|| ServiceMetrics::bump(&self.metrics.jobs_admitted))?;
         // Intra-query fan-out: when both the service knob and the plan's
         // recommended degree exceed 1, the request's context carries the
         // exec pool (which moves its limits into a shared envelope). The
         // engines produce the same relation (or the same exact count) at any
         // degree, so this choice is invisible to the caller (except in
         // STATS).
-        let ctx = if inner.exec.threads() > 1 && prepared.parallelism > 1 {
-            ServiceMetrics::bump(&inner.metrics.parallel_queries);
-            job.ctx.with_pool(&inner.exec)
+        let ctx = if self.exec.threads() > 1 && prepared.parallelism > 1 {
+            ServiceMetrics::bump(&self.metrics.parallel_queries);
+            ctx.with_pool(&self.exec)
         } else {
-            job.ctx
+            ctx
         };
-        let (q, db) = (&prepared.query, &*job.db);
+        let q = &prepared.query;
         // Counts are rendered as a one-row / grouped `count` relation, so
         // the cache and wire shapes are shared with plain answers.
-        let out = match &prepared.plan {
+        let rows = match &prepared.plan {
             PreparedPlan::Answer(plan) => {
                 if let EngineChoice::Hypertree(d) = &plan.choice {
-                    inner.metrics.record_hypertree_width(d.width());
+                    self.metrics.record_hypertree_width(d.width());
                 }
-                plan.execute_governed(q, db, &ctx)
-                    .map_err(ServiceError::from)
+                plan.execute_governed(q, db, &ctx)?
             }
             PreparedPlan::Count(plan) => {
                 if let CountChoice::Hypertree(d) = &plan.choice {
-                    inner.metrics.record_hypertree_width(d.width());
+                    self.metrics.record_hypertree_width(d.width());
                 }
-                match &job.groups {
+                match groups {
                     Some(groups) => plan
                         .execute_by_governed(q, db, groups, &ctx)
                         .and_then(|counted| counted.to_relation("count")),
                     None => plan
                         .execute_governed(q, db, &ctx)
                         .and_then(|c| count_relation(&c)),
-                }
-                .map_err(ServiceError::from)
+                }?
             }
         };
-        // The requester may have vanished; nothing to do about it.
-        let _ = job.reply.send(out.map(Arc::new));
+        Ok(Arc::new(rows))
+    }
+
+    /// Stage `fill`: the only result-cache write — evaluated answers, view
+    /// scans, `SUBSCRIBE` priming and IVM's in-place patches all land here.
+    fn fill(&self, key: ResultKey, rows: Arc<Relation>) {
+        self.result_cache.insert(key, rows);
+    }
+
+    /// Stage `finish`: stamp the latency, build the response, and account
+    /// for the outcome — the only place a request's fate reaches `STATS`.
+    fn finish(
+        &self,
+        start: Instant,
+        counting: bool,
+        served: Result<(Arc<Relation>, &'static str, CacheOutcome, DbSnapshot)>,
+    ) -> Result<QueryResponse> {
+        let m = &self.metrics;
+        match served {
+            Ok((rows, engine, cache, snap)) => {
+                let latency = start.elapsed();
+                ServiceMetrics::bump(&m.queries_served);
+                m.latency.record(latency);
+                if counting {
+                    ServiceMetrics::bump(&m.count_queries);
+                    m.count_latency.record(latency);
+                }
+                Ok(QueryResponse {
+                    rows,
+                    engine,
+                    cache,
+                    generation: snap.generation,
+                    epoch: snap.epoch,
+                    latency,
+                })
+            }
+            Err(e) => {
+                match &e {
+                    ServiceError::Overloaded { .. } => ServiceMetrics::bump(&m.rejected_overload),
+                    e if e.is_resource_exhausted() => ServiceMetrics::bump(&m.resource_exhausted),
+                    ServiceError::ShuttingDown => {}
+                    _ => ServiceMetrics::bump(&m.errors),
+                }
+                Err(e)
+            }
+        }
+    }
+
+    // ---- observability & lifecycle ----
+
+    /// Point-in-time metrics snapshot (includes cache sizes indirectly via
+    /// the hit/miss counters; see [`MetricsSnapshot`]), with the intra-query
+    /// exec-pool occupancy counters folded in.
+    pub fn stats(&self) -> MetricsSnapshot {
+        let mut s = self.metrics.snapshot();
+        let pool = self.exec.stats();
+        s.exec_threads = pool.threads as u64;
+        s.exec_tasks_run = pool.tasks_run;
+        s.exec_peak_active = pool.peak as u64;
+        if let Some(d) = &self.durability {
+            let c = d.counters();
+            s.wal_appends = c.wal_appends;
+            s.wal_bytes = c.wal_bytes;
+            s.snapshots_taken = c.snapshots_taken;
+            let r = d.recovery_stats();
+            s.recovery_replayed_records = r.replayed_records;
+            s.last_recovery_ms = r.elapsed_ms;
+        }
+        s
+    }
+
+    /// Entries currently in (plan cache, result cache).
+    pub fn cache_sizes(&self) -> (usize, usize) {
+        (self.plan_cache.len(), self.result_cache.len())
+    }
+
+    /// Drop both cache levels — answer plans, count plans and results
+    /// (counters persist). Mainly for benchmarks that want repeatable cold
+    /// runs.
+    pub fn clear_caches(&self) {
+        self.plan_cache.clear();
+        self.result_cache.clear();
+    }
+
+    /// Stop the service: refuse new work, cancel in-flight governed
+    /// evaluations cooperatively, and return once none is running and none
+    /// waits at the admission gate. Idempotent.
+    pub fn shutdown(&self) {
+        self.stop(true);
+    }
+
+    /// Gracefully drain the service: refuse new work, let already-admitted
+    /// evaluations **finish** (unlike [`QueryService::shutdown`], the
+    /// cancellation token is not tripped), wait until none is running and
+    /// none waits at the admission gate, and — when durability is on — seal
+    /// the final state in a snapshot. Idempotent with `shutdown`: whichever
+    /// runs first wins, the other becomes a no-op.
+    ///
+    /// # Errors
+    /// [`ServiceError::Durability`] when the final snapshot fails (the
+    /// service is still stopped).
+    pub fn drain(&self) -> Result<()> {
+        if self.stop(false) && self.durability.is_some() {
+            self.catalog.persist()?;
+        }
+        Ok(())
+    }
+
+    /// The teardown `shutdown` and `drain` share; `false` when the service
+    /// was already stopped. With `cancel`, admitted evaluations see the
+    /// cancelled token at their next clock check; without it they finish
+    /// under their own governors.
+    fn stop(&self, cancel: bool) -> bool {
+        if self.shutdown.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        if cancel {
+            self.cancel.cancel();
+        }
+        // Dropping the subscription senders disconnects every update
+        // stream, so `SUBSCRIBE` loops observe the stop and end.
+        self.views.lock().expect("views poisoned").subs.clear();
+        // Evaluations already parked at the gate still get their turn;
+        // return once none is running and none is parked.
+        self.gate.close();
+        true
+    }
+}
+
+impl Drop for QueryService {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -2850,51 +2772,58 @@ mod tests {
                 [s.result_hits, s.result_misses],
             );
             let served = [s.semantic_cache_hits, s.queries_served, s.count_queries];
-            [plan.as_slice(), &result, &served].concat()
+            [plan.as_slice(), &result, &served, &[s.jobs_admitted]].concat()
         };
         // Each row: the request, the cache outcome it reports, and the exact
         // movement of [plan_hits, plan_misses, result_hits, result_misses,
-        // semantic_cache_hits, queries_served, count_queries]. The numbers
-        // were recorded on the commit before the answer and count paths were
-        // merged; only the last row differs from it, by design (the separate
-        // count-plan cache survived `clear_caches`).
+        // semantic_cache_hits, queries_served, count_queries, jobs_admitted].
+        // The first seven were recorded on the commit before the answer and
+        // count paths were merged; only the last row differs from it, by
+        // design (the separate count-plan cache survived `clear_caches`).
+        // The last column, recorded on the commit before the admission gate
+        // replaced the worker pool, says which verbs pass the gate: exactly
+        // the requests that evaluate.
         let redundant = "G(x, c) :- R(x, y), S(y, c), R(x, y2).";
         let (fresh, other, invalid) = ("G(x) :- R(x, y).", "G(y) :- S(y, c).", "G(z) :- R(x, y).");
         let swapped = "G(y, x) :- R(x, y).";
         let table = [
-            (Query("d", CHAIN), Some(Miss), [0, 1, 0, 1, 0, 1, 0]),
-            (Query("d2", CHAIN), Some(PlanHit), [1, 0, 0, 1, 0, 1, 0]),
-            (Query("d", CHAIN), Some(Hit), [1, 0, 1, 0, 0, 1, 0]),
+            (Query("d", CHAIN), Some(Miss), [0, 1, 0, 1, 0, 1, 0, 1]),
+            (Query("d2", CHAIN), Some(PlanHit), [1, 0, 0, 1, 0, 1, 0, 1]),
+            (Query("d", CHAIN), Some(Hit), [1, 0, 1, 0, 0, 1, 0, 0]),
             // `@count` has its own plan entry; `@count_by` shares that plan
             // but not the cached result.
-            (Count("d", CHAIN), Some(Miss), [0, 1, 0, 1, 0, 1, 1]),
-            (Count("d2", CHAIN), Some(PlanHit), [1, 0, 0, 1, 0, 1, 1]),
-            (Count("d", CHAIN), Some(Hit), [1, 0, 1, 0, 0, 1, 1]),
-            (CountBy("d"), Some(PlanHit), [1, 0, 0, 1, 0, 1, 1]),
-            (CountBy("d"), Some(Hit), [1, 0, 1, 0, 0, 1, 1]),
+            (Count("d", CHAIN), Some(Miss), [0, 1, 0, 1, 0, 1, 1, 1]),
+            (Count("d2", CHAIN), Some(PlanHit), [1, 0, 0, 1, 0, 1, 1, 1]),
+            (Count("d", CHAIN), Some(Hit), [1, 0, 1, 0, 0, 1, 1, 0]),
+            (CountBy("d"), Some(PlanHit), [1, 0, 0, 1, 0, 1, 1, 1]),
+            (CountBy("d"), Some(Hit), [1, 0, 1, 0, 0, 1, 1, 0]),
             // A redundant variant hits the entry of its minimized core.
-            (Query("d", redundant), Some(Hit), [0, 1, 1, 0, 1, 1, 0]),
+            (Query("d", redundant), Some(Hit), [0, 1, 1, 0, 1, 1, 0, 0]),
             // EXPLAIN probes the result cache without counting a hit.
-            (Explain(fresh, "cold"), None, [0, 1, 0, 0, 0, 0, 0]),
-            (Explain(fresh, "plan-cache"), None, [1, 0, 0, 0, 0, 0, 0]),
-            (Explain(CHAIN, "result-cache"), None, [1, 0, 0, 0, 0, 0, 0]),
-            (Analyze(other, false), None, [0, 1, 0, 0, 0, 0, 0]),
-            (Analyze(other, true), None, [1, 0, 0, 0, 0, 0, 0]),
+            (Explain(fresh, "cold"), None, [0, 1, 0, 0, 0, 0, 0, 0]),
+            (Explain(fresh, "plan-cache"), None, [1, 0, 0, 0, 0, 0, 0, 0]),
+            (
+                Explain(CHAIN, "result-cache"),
+                None,
+                [1, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            (Analyze(other, false), None, [0, 1, 0, 0, 0, 0, 0, 0]),
+            (Analyze(other, true), None, [1, 0, 0, 0, 0, 0, 0, 0]),
             // An invalid query never reaches the plan cache.
-            (Analyze(invalid, false), None, [0, 0, 0, 0, 0, 0, 0]),
+            (Analyze(invalid, false), None, [0, 0, 0, 0, 0, 0, 0, 0]),
             // SUBSCRIBE plans the answer and the count, and primes both.
-            (Subscribe, None, [0, 2, 0, 0, 0, 0, 0]),
-            (Query("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 0]),
-            (Count("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 1]),
+            (Subscribe, None, [0, 2, 0, 0, 0, 0, 0, 0]),
+            (Query("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 0, 0]),
+            (Count("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 1, 0]),
             // IVM patches both entries in place.
-            (Insert, None, [0, 0, 0, 0, 0, 0, 0]),
-            (Query("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 0]),
-            (Count("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 1]),
+            (Insert, None, [0, 0, 0, 0, 0, 0, 0, 0]),
+            (Query("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 0, 0]),
+            (Count("d", VIEW), Some(Hit), [1, 0, 1, 0, 0, 1, 1, 0]),
             // Answered by scanning the view, then from the cache.
-            (Scan(swapped), Some(Miss), [0, 1, 0, 1, 0, 1, 0]),
-            (Query("d", swapped), Some(Hit), [1, 0, 1, 0, 0, 1, 0]),
+            (Scan(swapped), Some(Miss), [0, 1, 0, 1, 0, 1, 0, 0]),
+            (Query("d", swapped), Some(Hit), [1, 0, 1, 0, 0, 1, 0, 0]),
             // `clear_caches` drops count plans too.
-            (ClearThenCount, Some(Miss), [0, 1, 0, 1, 0, 1, 1]),
+            (ClearThenCount, Some(Miss), [0, 1, 0, 1, 0, 1, 1, 1]),
         ];
         for (row, (op, cache, delta)) in table.iter().enumerate() {
             let before = counters();

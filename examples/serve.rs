@@ -5,8 +5,9 @@
 //! ```text
 //! serve                          listen on 127.0.0.1:7878
 //! serve 127.0.0.1:0             pick an ephemeral port (printed at startup)
-//! serve --workers 8 --queue 128  size the pool and its admission queue
-//! serve --threads 4              intra-query parallelism per worker
+//! serve --workers 8 --queue 128  evaluations that may run at once / that
+//!                                may wait for a turn (past both: overloaded)
+//! serve --threads 4              intra-query parallelism per evaluation
 //! serve company=data/company.db  preload `company` from a loader-format file
 //! serve --data-dir data          allow wire LOAD, confined to `data/`
 //! serve --wal-dir state          durable catalog: recover from + journal to

@@ -2,10 +2,15 @@
 //! port, then drive `LOAD` / `QUERY` (cold and warm) / `EXPLAIN` / `STATS` /
 //! error paths / `SHUTDOWN` over an actual socket.
 
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
-use pq_service::{roundtrip, serve, serve_with_data_dir, QueryService, ServiceConfig};
+use pq_service::{
+    read_response, roundtrip, serve, serve_with_data_dir, serve_with_options, QueryService,
+    ServerOptions, ServiceConfig,
+};
 
 const DB_TEXT: &str = "R(a, b):\n  1, 2\n  2, 3\nS(b, c):\n  2, 9\n  3, 7\n";
 
@@ -302,6 +307,40 @@ fn plain_serve_disables_wire_load() {
     );
     let resp = roundtrip(&mut conn, "QUERY d G(x) :- R(x, y).").unwrap();
     assert!(resp[0].starts_with("OK 2 x #"), "{resp:?}");
+
+    handle.stop();
+}
+
+/// The request line is bounded: a client that never sends a newline gets
+/// one `ERR proto` line naming the limit and EOF — not a server buffer that
+/// grows with whatever it sends — and the server keeps serving others.
+#[test]
+fn an_overlong_request_line_is_refused_and_its_connection_closed() {
+    // The short read timeout makes a server that waits for the newline fail
+    // this test with `request-timeout` instead of hanging it.
+    let options = ServerOptions {
+        read_timeout: Some(Duration::from_secs(2)),
+        ..ServerOptions::default()
+    };
+    let svc = Arc::new(QueryService::with_defaults());
+    let handle = serve_with_options("127.0.0.1:0", svc, options).unwrap();
+    let addr = handle.local_addr();
+
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(&vec![b'a'; (1 << 20) + 1]).unwrap();
+    let mut reader = BufReader::new(conn);
+    let resp = read_response(&mut reader).unwrap();
+    assert_eq!(resp.len(), 1, "{resp:?}");
+    assert!(
+        resp[0].starts_with("ERR proto ") && resp[0].contains("1048576 bytes"),
+        "{resp:?}"
+    );
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "expected EOF");
+
+    let mut fresh = TcpStream::connect(addr).unwrap();
+    let resp = roundtrip(&mut fresh, "STATS").unwrap();
+    assert_eq!(resp[0], "OK stats");
 
     handle.stop();
 }
