@@ -16,8 +16,9 @@
 //! * the **epoch** is the database's own mutation counter
 //!   ([`pq_data::Database::epoch`]) — it distinguishes in-place states.
 //!
-//! A result cached under `(fingerprint, name, generation, epoch)` can
-//! therefore never be served for different data.
+//! A cached result stamped with the `(generation, epoch)` of the named
+//! database it was computed against can therefore never be served for
+//! different data.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -8,10 +8,12 @@
 //! * a sharded two-level cache — a **plan cache** (canonical query form and
 //!   result mode → parsed AST + analysis + [`pq_core::Plan`] or
 //!   [`pq_core::CountPlan`]) and a bounded-LRU **result cache** keyed by
-//!   `(canonical query form, db name, generation, epoch)`, so results are
-//!   invalidated by construction when data changes (the key carries the
-//!   full canonical form, not just a hash of it, so distinct queries can
-//!   never share an entry);
+//!   `(canonical query form, db name)` whose entries are stamped with the
+//!   `(generation, relation epochs)` they answer, so results are
+//!   invalidated by construction when data changes and replaced, not
+//!   accumulated, as it does (the key carries the full canonical form, not
+//!   just a hash of it, so distinct queries can never share an entry); an
+//!   entry keeps its encoded response body, so a hit is written as bytes;
 //! * one request path: a plain `QUERY` and `QUERY @count` are two modes of
 //!   the same staged pipeline (`prepare → bind → lookup → view → run → fill
 //!   → finish`, see [`service`]), with one cache-lookup site and one

@@ -53,6 +53,16 @@
 //! rows in canonical (sorted) order; field syntax matches the database
 //! loader, so output can be pasted back into a data file.
 //!
+//! **Row bodies are bytes, written by one encoder.** `write_value` is the
+//! only place a [`Value`] becomes wire text and `encode_rows` the only place
+//! an answer is put in canonical order: it sorts references to the tuples
+//! and appends `a, b\n` lines to a `Vec<u8>`, with no `String` per field or
+//! per row. A `QUERY` body is encoded at most once per answer — the service
+//! keeps the bytes beside the rows (`Answer::body`), so a result-cache hit
+//! is a header plus one copy of cached bytes. The `render_* -> Vec<String>`
+//! functions for row-carrying responses are thin adapters that split the
+//! encoded bytes back into lines.
+//!
 //! **`SUBSCRIBE` dedicates the connection to one live view.** The initial
 //! response is an ordinary framed answer (`OK subscribed <id> <n> <attrs>`
 //! plus `n` rows and the terminator); `<n>` **is the view's current
@@ -76,6 +86,7 @@
 //! subscription: the server unsubscribes and confirms with a final
 //! `OK unsubscribed <id>` frame.
 
+use std::io::Write as _;
 use std::time::Duration;
 
 use pq_data::{loader, Relation, Tuple, Value};
@@ -386,59 +397,124 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
     }
 }
 
-/// Render one value with the database-loader field conventions (quote
+/// Append one value with the database-loader field conventions (quote
 /// strings that would re-parse as integers or contain separators, and
 /// strings equal to [`END`] — a bare `.` in a single-column row would
 /// otherwise read as the response terminator and desynchronize the client).
-fn render_value(v: &Value) -> String {
+pub(crate) fn write_value(out: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Int(i) => i.to_string(),
+        Value::Int(i) => {
+            // Digits are produced least significant first, into the tail of
+            // a buffer that fits `i64::MIN` (19 digits and the sign).
+            let mut digits = [0u8; 20];
+            let mut at = digits.len();
+            let mut rest = i.unsigned_abs();
+            loop {
+                at -= 1;
+                digits[at] = b'0' + (rest % 10) as u8;
+                rest /= 10;
+                if rest == 0 {
+                    break;
+                }
+            }
+            if *i < 0 {
+                at -= 1;
+                digits[at] = b'-';
+            }
+            out.extend_from_slice(&digits[at..]);
+        }
         Value::Str(s) => {
-            if s.parse::<i64>().is_ok()
-                || s.contains(',')
-                || s.contains('%')
-                || s.is_empty()
+            let quoted = s.is_empty()
                 || &**s == END
-            {
-                format!("\"{s}\"")
-            } else {
-                s.to_string()
+                || s.bytes().any(|b| b == b',' || b == b'%')
+                || s.parse::<i64>().is_ok();
+            if quoted {
+                out.push(b'"');
+            }
+            out.extend_from_slice(s.as_bytes());
+            if quoted {
+                out.push(b'"');
             }
         }
     }
 }
 
-fn render_rows(rel: &Relation, out: &mut Vec<String>) {
-    for t in rel.canonical_rows() {
-        let fields: Vec<String> = t.iter().map(render_value).collect();
-        out.push(fields.join(", "));
+/// Append one row: its fields separated by `, `, no line end.
+fn write_row(out: &mut Vec<u8>, t: &Tuple) {
+    for (i, v) in t.iter().enumerate() {
+        if i > 0 {
+            out.extend_from_slice(b", ");
+        }
+        write_value(out, v);
     }
 }
 
-/// Render the response lines (without the terminator) for a successful
-/// `QUERY`.
-pub fn render_query_response(resp: &QueryResponse) -> Vec<String> {
+/// Append the rows of `rel` in canonical (sorted) order, one `a, b\n` line
+/// each. Sorts references: no tuple is cloned. A relation is a set, so the
+/// unstable sort has one possible outcome.
+pub(crate) fn encode_rows(rel: &Relation, out: &mut Vec<u8>) {
+    let mut sorted: Vec<&Tuple> = rel.iter().collect();
+    sorted.sort_unstable();
+    for t in sorted {
+        write_row(out, t);
+        out.push(b'\n');
+    }
+}
+
+/// Append the header's attribute list: `a,b`, or `-` at arity 0.
+fn write_attrs(out: &mut Vec<u8>, rel: &Relation) {
+    if rel.arity() == 0 {
+        out.push(b'-');
+    }
+    for (i, a) in rel.attrs().iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(a.as_bytes());
+    }
+}
+
+/// The adapter from encoded bytes back to response lines.
+fn lines_of(encoded: &[u8]) -> Vec<String> {
+    let text = std::str::from_utf8(encoded).expect("the encoder writes only UTF-8");
+    text.split_terminator('\n').map(str::to_string).collect()
+}
+
+/// Append the whole body of a successful `QUERY` response (without the
+/// terminator): the header line, then the answer's encoded rows — encoded
+/// now if this is the first response to carry that answer, copied from the
+/// answer otherwise.
+pub(crate) fn encode_query_response(resp: &QueryResponse, out: &mut Vec<u8>) {
     let cache = match resp.cache {
         CacheOutcome::Miss => "cold",
         CacheOutcome::PlanHit => "plan-cache",
         CacheOutcome::ResultHit => "result-cache",
     };
-    let mut lines = vec![format!(
-        "OK {} {} # engine={} cache={} gen={} epoch={} micros={}",
-        resp.rows.len(),
-        if resp.rows.arity() == 0 {
-            "-".to_string()
-        } else {
-            resp.rows.attrs().join(",")
-        },
-        resp.engine.replace(' ', "_"),
+    let _ = write!(out, "OK {} ", resp.rows.len());
+    write_attrs(out, &resp.rows);
+    out.extend_from_slice(b" # engine=");
+    out.extend(
+        resp.engine
+            .bytes()
+            .map(|b| if b == b' ' { b'_' } else { b }),
+    );
+    let _ = writeln!(
+        out,
+        " cache={} gen={} epoch={} micros={}",
         cache,
         resp.generation,
         resp.epoch,
         resp.latency.as_micros()
-    )];
-    render_rows(&resp.rows, &mut lines);
-    lines
+    );
+    out.extend_from_slice(resp.answer.body());
+}
+
+/// Render the response lines (without the terminator) for a successful
+/// `QUERY`: the bytes the server writes, split into lines.
+pub fn render_query_response(resp: &QueryResponse) -> Vec<String> {
+    let mut encoded = Vec::new();
+    encode_query_response(resp, &mut encoded);
+    lines_of(&encoded)
 }
 
 /// Render the response lines for a successful `LOAD`.
@@ -585,18 +661,12 @@ pub fn render_mutation_response(s: &MutationSummary) -> Vec<String> {
 /// the header), and the view's full current answer (same row framing as
 /// `QUERY`).
 pub fn render_subscribe_response(sub: &Subscription) -> Vec<String> {
-    let mut lines = vec![format!(
-        "OK subscribed {} {} {}",
-        sub.id,
-        sub.rows.len(),
-        if sub.rows.arity() == 0 {
-            "-".to_string()
-        } else {
-            sub.rows.attrs().join(",")
-        }
-    )];
-    render_rows(&sub.rows, &mut lines);
-    lines
+    let mut encoded = Vec::new();
+    let _ = write!(encoded, "OK subscribed {} {} ", sub.id, sub.rows.len());
+    write_attrs(&mut encoded, &sub.rows);
+    encoded.push(b'\n');
+    encode_rows(&sub.rows, &mut encoded);
+    lines_of(&encoded)
 }
 
 /// Render one pushed delta frame for subscription `id`. Added rows are
@@ -604,7 +674,9 @@ pub fn render_subscribe_response(sub: &Subscription) -> Vec<String> {
 /// `rows=<n>` is the view's cardinality after this delta applies, so a
 /// count-subscriber can track `|V(d)|` from headers alone.
 pub fn render_delta_frame(id: u64, u: &SubscriptionUpdate) -> Vec<String> {
-    let mut header = format!(
+    let mut encoded = Vec::new();
+    let _ = write!(
+        encoded,
         "DELTA {id} +{} -{} epoch={} rows={}",
         u.added.len(),
         u.removed.len(),
@@ -612,21 +684,22 @@ pub fn render_delta_frame(id: u64, u: &SubscriptionUpdate) -> Vec<String> {
         u.cardinality
     );
     if u.fell_back {
-        header.push_str(" fallback");
+        encoded.extend_from_slice(b" fallback");
     }
     if u.dropped {
-        header.push_str(" dropped");
+        encoded.extend_from_slice(b" dropped");
     }
-    let mut lines = vec![header];
-    for (sign, rows) in [('+', &u.added), ('-', &u.removed)] {
+    encoded.push(b'\n');
+    for (sign, rows) in [(b'+', &u.added), (b'-', &u.removed)] {
         let mut sorted: Vec<&Tuple> = rows.iter().collect();
         sorted.sort();
         for t in sorted {
-            let fields: Vec<String> = t.iter().map(render_value).collect();
-            lines.push(format!("{sign} {}", fields.join(", ")));
+            encoded.extend_from_slice(&[sign, b' ']);
+            write_row(&mut encoded, t);
+            encoded.push(b'\n');
         }
     }
-    lines
+    lines_of(&encoded)
 }
 
 /// Render the response line for `PERSIST`.
@@ -645,6 +718,239 @@ pub fn render_error(e: &ServiceError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    // The `String`-per-field renderer the byte encoder replaced, kept as the
+    // oracle: the encoder's output must equal its lines, byte for byte.
+
+    fn render_value(v: &Value) -> String {
+        match v {
+            Value::Int(i) => i.to_string(),
+            Value::Str(s) => {
+                if s.parse::<i64>().is_ok()
+                    || s.contains(',')
+                    || s.contains('%')
+                    || s.is_empty()
+                    || &**s == END
+                {
+                    format!("\"{s}\"")
+                } else {
+                    s.to_string()
+                }
+            }
+        }
+    }
+
+    fn render_rows(rel: &Relation, out: &mut Vec<String>) {
+        for t in rel.canonical_rows() {
+            let fields: Vec<String> = t.iter().map(render_value).collect();
+            out.push(fields.join(", "));
+        }
+    }
+
+    fn render_attrs(rel: &Relation) -> String {
+        if rel.arity() == 0 {
+            "-".to_string()
+        } else {
+            rel.attrs().join(",")
+        }
+    }
+
+    fn old_render_subscribe_response(sub: &Subscription) -> Vec<String> {
+        let mut lines = vec![format!(
+            "OK subscribed {} {} {}",
+            sub.id,
+            sub.rows.len(),
+            render_attrs(&sub.rows)
+        )];
+        render_rows(&sub.rows, &mut lines);
+        lines
+    }
+
+    fn old_render_delta_frame(id: u64, u: &SubscriptionUpdate) -> Vec<String> {
+        let mut header = format!(
+            "DELTA {id} +{} -{} epoch={} rows={}",
+            u.added.len(),
+            u.removed.len(),
+            u.epoch,
+            u.cardinality
+        );
+        if u.fell_back {
+            header.push_str(" fallback");
+        }
+        if u.dropped {
+            header.push_str(" dropped");
+        }
+        let mut lines = vec![header];
+        for (sign, rows) in [('+', &u.added), ('-', &u.removed)] {
+            let mut sorted: Vec<&Tuple> = rows.iter().collect();
+            sorted.sort();
+            for t in sorted {
+                let fields: Vec<String> = t.iter().map(render_value).collect();
+                lines.push(format!("{sign} {}", fields.join(", ")));
+            }
+        }
+        lines
+    }
+
+    /// The encoder's lines for `rel`, after checking them against the oracle.
+    fn encoded_rows(rel: &Relation) -> Vec<String> {
+        let mut encoded = Vec::new();
+        encode_rows(rel, &mut encoded);
+        let mut oracle = Vec::new();
+        render_rows(rel, &mut oracle);
+        let expected = oracle.iter().fold(String::new(), |text, l| text + l + "\n");
+        assert_eq!(String::from_utf8(encoded.clone()).unwrap(), expected);
+        let lines = lines_of(&encoded);
+        assert_eq!(lines, oracle);
+        lines
+    }
+
+    /// Values the quoting rule and the digit loop have to get right.
+    fn edge_values() -> Vec<Value> {
+        let ints = [i64::MIN, i64::MAX, 0, -1, 7, 10, -10, 1_000_000_007];
+        let strs = [
+            "",
+            "12",
+            "-3",
+            "+4",
+            "a,b",
+            "50%",
+            ".",
+            "..",
+            "plain",
+            "two words",
+            "ünï-çødé ✓",
+            "-",
+            "9223372036854775808",
+        ];
+        ints.into_iter()
+            .map(Value::Int)
+            .chain(strs.into_iter().map(Value::str))
+            .collect()
+    }
+
+    fn relation_of(arity: usize, rows: impl IntoIterator<Item = Tuple>) -> Relation {
+        Relation::with_tuples((0..arity).map(|i| format!("a{i}")), rows).unwrap()
+    }
+
+    #[test]
+    fn every_edge_value_encodes_as_the_renderer_rendered_it() {
+        for v in edge_values() {
+            let mut encoded = Vec::new();
+            write_value(&mut encoded, &v);
+            assert_eq!(String::from_utf8(encoded).unwrap(), render_value(&v));
+        }
+        // One column, then every pair: separators and quoting together.
+        let values = edge_values();
+        encoded_rows(&relation_of(
+            1,
+            values.iter().map(|v| Tuple::new([v.clone()])),
+        ));
+        let pairs = values
+            .iter()
+            .flat_map(|a| values.iter().map(|b| Tuple::new([a.clone(), b.clone()])));
+        encoded_rows(&relation_of(2, pairs));
+    }
+
+    #[test]
+    fn canonical_order_is_the_sort_not_the_insertion_order() {
+        use pq_data::tuple;
+        let rel = relation_of(2, (0..50).rev().map(|i| tuple![i, "x"]));
+        assert_eq!(rel.tuples()[0], tuple![49, "x"]);
+        let lines = encoded_rows(&rel);
+        assert_eq!(lines[0], "0, x");
+        assert_eq!(lines[49], "49, x");
+    }
+
+    #[test]
+    fn arity_zero_is_one_empty_line_per_row_and_a_dash_header() {
+        let truth = relation_of(0, [Tuple::default()]);
+        assert_eq!(encoded_rows(&truth), [""]);
+        assert!(encoded_rows(&relation_of(0, [])).is_empty());
+        let (_tx, updates) = std::sync::mpsc::channel();
+        let sub = Subscription {
+            id: 3,
+            database: "d".into(),
+            rows: Arc::new(truth),
+            updates,
+        };
+        assert_eq!(render_subscribe_response(&sub), ["OK subscribed 3 1 -", ""]);
+        assert_eq!(
+            render_subscribe_response(&sub),
+            old_render_subscribe_response(&sub)
+        );
+    }
+
+    #[test]
+    fn query_response_lines_are_the_header_and_the_encoded_rows() {
+        let svc = crate::QueryService::with_defaults();
+        svc.load_str("d", "R(a, b):\n  2, \".\"\n  1, 50%\n")
+            .unwrap();
+        for (src, attrs) in [("G(x, y) :- R(x, y).", "x,y"), ("G() :- R(x, y).", "-")] {
+            let resp = svc.query("d", src, RequestLimits::default()).unwrap();
+            let lines = render_query_response(&resp);
+            let header = format!("OK {} {attrs} # engine=", resp.rows.len());
+            assert!(lines[0].starts_with(&header), "{lines:?}");
+            assert_eq!(lines[1..], encoded_rows(&resp.rows));
+        }
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        let edges = edge_values();
+        prop_oneof![
+            (0..edges.len()).prop_map(move |i| edges[i].clone()),
+            (-1000i64..1000).prop_map(Value::Int),
+            any::<i64>().prop_map(Value::Int),
+            (-20i64..20).prop_map(|i| Value::str(i.to_string())),
+        ]
+    }
+
+    fn arb_tuples(max_rows: usize) -> impl Strategy<Value = (usize, Vec<Tuple>)> {
+        (0usize..5).prop_flat_map(move |arity| {
+            let row = prop::collection::vec(arb_value(), arity).prop_map(Tuple::new);
+            prop::collection::vec(row, 0..max_rows).prop_map(move |rows| (arity, rows))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random mixed `Int`/`Str` relations of arity 0–4: the encoder, the
+        /// subscribe response and the delta frame equal the old renderers.
+        #[test]
+        fn encoders_equal_the_renderers_they_replaced(
+            (arity, rows) in arb_tuples(24),
+            (fell_back, dropped) in (any::<bool>(), any::<bool>()),
+        ) {
+            let rel = relation_of(arity, rows.iter().cloned());
+            encoded_rows(&rel);
+
+            let (_tx, updates) = std::sync::mpsc::channel();
+            let sub = Subscription {
+                id: 11,
+                database: "d".into(),
+                rows: Arc::new(rel),
+                updates,
+            };
+            prop_assert_eq!(
+                render_subscribe_response(&sub),
+                old_render_subscribe_response(&sub)
+            );
+
+            let split = rows.len() / 2;
+            let u = SubscriptionUpdate {
+                added: rows[..split].to_vec(),
+                removed: rows[split..].to_vec(),
+                epoch: 5,
+                cardinality: rows.len() as u64,
+                fell_back,
+                dropped,
+            };
+            prop_assert_eq!(render_delta_frame(11, &u), old_render_delta_frame(11, &u));
+        }
+    }
 
     #[test]
     fn parses_every_verb() {
@@ -836,8 +1142,7 @@ mod tests {
         // A single-column row whose value is "." must not render as a line
         // equal to END, or the framed response would terminate early.
         let rel = Relation::with_tuples(["a"], [tuple!["."]]).unwrap();
-        let mut lines = Vec::new();
-        render_rows(&rel, &mut lines);
+        let lines = encoded_rows(&rel);
         assert_eq!(lines, [r#"".""#.to_string()]);
         assert!(lines.iter().all(|l| l != END));
     }
@@ -867,7 +1172,7 @@ mod tests {
         )
         .unwrap();
         let mut lines = vec!["T(a, b):".to_string()];
-        render_rows(&rel, &mut lines);
+        lines.extend(encoded_rows(&rel));
         let text = lines.join("\n");
         let db = pq_data::loader::parse_database(&text).unwrap();
         assert_eq!(

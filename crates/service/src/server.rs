@@ -4,7 +4,13 @@
 //! One thread accepts connections; each connection gets a handler thread
 //! that reads request lines and writes framed responses (see
 //! [`crate::protocol`]) and evaluates each request itself: the service owns
-//! no threads. A handler whose connection has ended serves the next one
+//! no threads. A connection owns two byte buffers, one for the request line
+//! and one for the response frame, reused from request to request. `respond`
+//! consumes the request and everything the service returned for it while
+//! filling the frame, so a response is one `write_all` and nothing is left
+//! to do between that write and the next read; a `QUERY` frame is a header
+//! line, the answer's encoded body (copied from the result cache on a hit)
+//! and the terminator. A handler whose connection has ended serves the next one
 //! instead of exiting (see `dispatch`), so the memory evaluations allocate
 //! stays with the same few threads. Concurrency control lives in the
 //! *service* — a flood of connections contends on its admission gate and is
@@ -48,10 +54,10 @@ use std::time::Duration;
 
 use crate::error::ServiceError;
 use crate::protocol::{
-    parse_request, render_analyze_program_response, render_analyze_response, render_delta_frame,
-    render_drop_response, render_error, render_explain_response, render_load_response,
-    render_mutation_response, render_persist_response, render_query_response,
-    render_stats_response, render_subscribe_response, Request, END,
+    encode_query_response, parse_request, render_analyze_program_response, render_analyze_response,
+    render_delta_frame, render_drop_response, render_error, render_explain_response,
+    render_load_response, render_mutation_response, render_persist_response, render_stats_response,
+    render_subscribe_response, Request, END,
 };
 use crate::service::QueryService;
 
@@ -60,6 +66,11 @@ use crate::service::QueryService;
 /// sends; the largest request in this repository's tests, examples and
 /// benchmark is about 120 bytes.
 const MAX_REQUEST_BYTES: u64 = 1 << 20;
+
+/// Largest response buffer a connection keeps between requests: one that
+/// grew past this for a large answer is given back after the write, so an
+/// idle connection does not pin its largest response.
+const MAX_KEPT_RESPONSE_BYTES: usize = 1 << 20;
 
 /// Server knobs beyond the address (see [`serve_with_options`]).
 #[derive(Debug, Clone)]
@@ -271,16 +282,31 @@ fn dispatch(mut conn: Conn) {
         });
 }
 
-fn write_lines(stream: &mut TcpStream, lines: &[String]) -> io::Result<()> {
-    let mut out = String::new();
+/// Append `lines` to the frame in `out`.
+fn push_lines(out: &mut Vec<u8>, lines: &[String]) {
     for l in lines {
-        out.push_str(l);
-        out.push('\n');
+        out.extend_from_slice(l.as_bytes());
+        out.push(b'\n');
     }
-    out.push_str(END);
-    out.push('\n');
-    stream.write_all(out.as_bytes())?;
-    stream.flush()
+}
+
+/// Terminate the frame in `out`, write it, and leave `out` empty for the
+/// next one.
+fn send(stream: &mut TcpStream, out: &mut Vec<u8>) -> io::Result<()> {
+    out.extend_from_slice(END.as_bytes());
+    out.push(b'\n');
+    let sent = stream.write_all(out);
+    if out.capacity() > MAX_KEPT_RESPONSE_BYTES {
+        *out = Vec::new();
+    }
+    out.clear();
+    sent
+}
+
+/// Send a frame of `lines` alone.
+fn send_lines(stream: &mut TcpStream, out: &mut Vec<u8>, lines: &[String]) -> io::Result<()> {
+    push_lines(out, lines);
+    send(stream, out)
 }
 
 /// Resolve a client-supplied `LOAD` path against the configured data
@@ -307,20 +333,34 @@ fn resolve_load_path(data_dir: Option<&Path>, path: &str) -> Result<PathBuf, Ser
     Ok(root.join(p))
 }
 
-/// Render one outcome: the verb's own lines, or the `ERR <code> …` line.
-fn render<T>(outcome: Result<T, ServiceError>, ok: impl FnOnce(&T) -> Vec<String>) -> Vec<String> {
+/// Append one outcome to the frame in `out`: what `ok` appends for the
+/// verb, or the `ERR <code> …` line. The outcome is dropped here.
+fn push<T>(out: &mut Vec<u8>, outcome: Result<T, ServiceError>, ok: impl FnOnce(&T, &mut Vec<u8>)) {
     match outcome {
-        Ok(value) => ok(&value),
-        Err(e) => vec![render_error(&e)],
+        Ok(value) => ok(&value, out),
+        Err(e) => push_lines(out, &[render_error(&e)]),
     }
 }
 
-/// Serve one request: the response lines, and whether the server should
-/// stop accepting afterwards.
-fn respond(shared: &Shared, request: Request) -> (Vec<String>, bool) {
+/// [`push`] for the verbs whose response is a few rendered lines.
+fn render<T>(
+    out: &mut Vec<u8>,
+    outcome: Result<T, ServiceError>,
+    ok: impl FnOnce(&T) -> Vec<String>,
+) {
+    push(out, outcome, |value, out| push_lines(out, &ok(value)));
+}
+
+/// Serve one request: append its response frame (without the terminator) to
+/// `out`, and say whether the server should stop accepting afterwards. The
+/// request and whatever the service answered are consumed and dropped in
+/// here, before the caller writes the frame: a closed-loop client sends its
+/// next request as soon as it has read this one's response, and work left
+/// for after the write would compete with serving it.
+fn respond(shared: &Shared, request: Request, out: &mut Vec<u8>) -> bool {
     let service = &*shared.service;
     let shutdown = matches!(request, Request::Shutdown);
-    let lines = match request {
+    match request {
         Request::Load { name, path } => {
             let outcome = resolve_load_path(shared.options.data_dir.as_deref(), &path)
                 .and_then(|resolved| {
@@ -328,7 +368,7 @@ fn respond(shared: &Shared, request: Request) -> (Vec<String>, bool) {
                         .map_err(|e| ServiceError::Protocol(format!("cannot read `{path}`: {e}")))
                 })
                 .and_then(|text| service.load_str(&name, &text));
-            render(outcome, render_load_response)
+            render(out, outcome, render_load_response);
         }
         Request::Query {
             name,
@@ -340,22 +380,23 @@ fn respond(shared: &Shared, request: Request) -> (Vec<String>, bool) {
                 Some(mode) => service.query_count(&name, &src, mode, limits),
                 None => service.query(&name, &src, limits),
             };
-            render(outcome, render_query_response)
+            push(out, outcome, encode_query_response);
         }
         Request::Explain { name, src } => {
-            render(service.explain(&name, &src), render_explain_response)
+            render(out, service.explain(&name, &src), render_explain_response);
         }
         // A `?-` goal marker distinguishes a whole Datalog program from a
         // single conjunctive query (CQ syntax has no `?-`).
         Request::Analyze { name, src } if src.contains("?-") => render(
+            out,
             service.analyze_datalog(&name, &src),
             render_analyze_program_response,
         ),
         Request::Analyze { name, src } => {
-            render(service.analyze(&name, &src), render_analyze_response)
+            render(out, service.analyze(&name, &src), render_analyze_response);
         }
-        Request::Stats => render_stats_response(&service.stats()),
-        Request::Drop { name } => render(service.drop_database(&name), |existed| {
+        Request::Stats => push_lines(out, &render_stats_response(&service.stats())),
+        Request::Drop { name } => render(out, service.drop_database(&name), |existed| {
             render_drop_response(&name, *existed)
         }),
         Request::Insert {
@@ -363,6 +404,7 @@ fn respond(shared: &Shared, request: Request) -> (Vec<String>, bool) {
             relation,
             rows,
         } => render(
+            out,
             service.insert_rows(&name, &relation, rows),
             render_mutation_response,
         ),
@@ -371,22 +413,24 @@ fn respond(shared: &Shared, request: Request) -> (Vec<String>, bool) {
             relation,
             rows,
         } => render(
+            out,
             service.delete_rows(&name, &relation, rows),
             render_mutation_response,
         ),
         // Intercepted in `handle_connection` (the verb takes over the
         // connection); reaching here means a caller bypassed that path.
-        Request::Subscribe { .. } => vec![render_error(&ServiceError::Protocol(
-            "SUBSCRIBE requires a dedicated connection".into(),
-        ))],
-        Request::Persist => render(service.persist(), render_persist_response),
+        Request::Subscribe { .. } => {
+            let e = ServiceError::Protocol("SUBSCRIBE requires a dedicated connection".into());
+            push_lines(out, &[render_error(&e)]);
+        }
+        Request::Persist => render(out, service.persist(), render_persist_response),
         // Graceful drain: block here until in-flight work finishes and the
         // final snapshot (if durable) lands, so `OK bye` really means the
         // state is sealed. A failed final snapshot is reported instead of
         // `OK bye` — the service is stopped either way.
-        Request::Shutdown => render(service.drain(), |()| vec!["OK bye".to_string()]),
-    };
-    (lines, shutdown)
+        Request::Shutdown => render(out, service.drain(), |()| vec!["OK bye".to_string()]),
+    }
+    shutdown
 }
 
 /// Did this I/O error come from the socket timeout? (Unix reports
@@ -406,8 +450,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Err(_) => return,
     };
     let mut writer = stream;
+    // The request line and the response frame, both reused across requests.
+    let (mut line, mut out) = (Vec::new(), Vec::new());
     loop {
-        let mut line = Vec::new();
+        line.clear();
         match reader
             .by_ref()
             .take(MAX_REQUEST_BYTES + 1)
@@ -418,7 +464,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Err(e) if is_timeout(&e) => {
                 // Best-effort notice; the peer may be dead, in which case
                 // the write fails too and we just close.
-                let _ = write_lines(&mut writer, &[render_error(&ServiceError::RequestTimeout)]);
+                let notice = [render_error(&ServiceError::RequestTimeout)];
+                let _ = send_lines(&mut writer, &mut out, &notice);
                 break;
             }
             Err(_) => break,
@@ -427,30 +474,27 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             // The rest of the line cannot be resynchronised: answer, close.
             let e =
                 ServiceError::Protocol(format!("request line exceeds {MAX_REQUEST_BYTES} bytes"));
-            let _ = write_lines(&mut writer, &[render_error(&e)]);
+            let _ = send_lines(&mut writer, &mut out, &[render_error(&e)]);
             break;
         }
-        let Ok(line) = String::from_utf8(line) else {
+        let Ok(text) = std::str::from_utf8(&line) else {
             break;
         };
-        if line.trim().is_empty() {
+        if text.trim().is_empty() {
             continue;
         }
-        let request = match parse_request(&line) {
-            Ok(r) => r,
+        let shutdown = match parse_request(text) {
+            Ok(Request::Subscribe { name, src }) => {
+                stream_subscription(&mut reader, &mut writer, &mut out, shared, &name, &src);
+                break;
+            }
+            Ok(request) => respond(shared, request, &mut out),
             Err(e) => {
-                if write_lines(&mut writer, &[render_error(&e)]).is_err() {
-                    break;
-                }
-                continue;
+                push_lines(&mut out, &[render_error(&e)]);
+                false
             }
         };
-        if let Request::Subscribe { name, src } = request {
-            stream_subscription(&mut reader, &mut writer, shared, &name, &src);
-            break;
-        }
-        let (lines, shutdown) = respond(shared, request);
-        if write_lines(&mut writer, &lines).is_err() {
+        if send(&mut writer, &mut out).is_err() {
             break;
         }
         if shutdown {
@@ -467,6 +511,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 fn stream_subscription(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
+    out: &mut Vec<u8>,
     shared: &Shared,
     name: &str,
     src: &str,
@@ -474,11 +519,11 @@ fn stream_subscription(
     let sub = match shared.service.subscribe(name, src) {
         Ok(sub) => sub,
         Err(e) => {
-            let _ = write_lines(writer, &[render_error(&e)]);
+            let _ = send_lines(writer, out, &[render_error(&e)]);
             return;
         }
     };
-    if write_lines(writer, &render_subscribe_response(&sub)).is_ok() {
+    if send_lines(writer, out, &render_subscribe_response(&sub)).is_ok() {
         // Alternate between the update channel (100 ms) and a short-timeout
         // peek at the socket. The connection is dedicated to this
         // subscription, so shortening the shared socket's read timeout
@@ -490,7 +535,8 @@ fn stream_subscription(
             match sub.updates.recv_timeout(Duration::from_millis(100)) {
                 Ok(update) => {
                     let last = update.dropped;
-                    if write_lines(writer, &render_delta_frame(sub.id, &update)).is_err() || last {
+                    let frame = render_delta_frame(sub.id, &update);
+                    if send_lines(writer, out, &frame).is_err() || last {
                         break;
                     }
                 }
@@ -506,7 +552,7 @@ fn stream_subscription(
         }
     }
     shared.service.unsubscribe(sub.id);
-    let _ = write_lines(writer, &[format!("OK unsubscribed {}", sub.id)]);
+    let _ = send_lines(writer, out, &[format!("OK unsubscribed {}", sub.id)]);
 }
 
 /// Client-side helper: send one request line and collect the response lines

@@ -15,17 +15,23 @@
 //!   choice (Theorem 2) — is paid once per distinct query, not once per
 //!   request. This is exactly the preprocessing/evaluation cost split the
 //!   hypertree literature treats as decisive.
-//! * **Result cache** (level 2): `(query text, database name, generation,
-//!   mentioned-relations epoch fingerprint)` → answer relation. The key
+//! * **Result cache** (level 2): `(query text, database name)` → the
+//!   answer, stamped with the state it was computed against. The key
 //!   embeds a full rendering of the query (not just its 64-bit fingerprint,
 //!   so a hash collision can never cross-serve answers) — the canonical
 //!   form of its minimized core for answers, so equivalent spellings share
-//!   one entry, and `@count …` of the canonical form for counts — the
-//!   catalog generation (see [`crate::catalog`]), and an FNV-1a fingerprint
-//!   of the per-relation epochs of exactly the base relations the plan
-//!   reads ([`Plan::mentioned_relations`]). A mutation can therefore never
-//!   serve a stale answer — and a mutation to a relation the query never
-//!   touches does not invalidate its entry at all.
+//!   one entry, and `@count …` of the canonical form for counts. The stamp
+//!   is the catalog generation (see [`crate::catalog`]), an FNV-1a
+//!   fingerprint of the per-relation epochs of exactly the base relations
+//!   the plan reads ([`Plan::mentioned_relations`]), and the database
+//!   epoch. **The cache holds at most one entry per (key text, database),
+//!   and a hit requires the entry's generation and fingerprint to equal the
+//!   bound snapshot's**: a mutation can therefore never serve a stale
+//!   answer, a mutation to a relation the query never touches does not
+//!   invalidate its entry at all, and an answer for a newer state replaces
+//!   its predecessor instead of piling up beside it. The entry also keeps
+//!   the answer's encoded wire body, written at most once (by the first
+//!   response that carries the answer), so a hit is served as cached bytes.
 //!
 //! **One request path.** Deciding, counting and enumerating `Q(d)` share
 //! the query-only half, so [`QueryService::query`] and
@@ -36,17 +42,20 @@
 //!    (filled on a miss with the plan of the requested mode). Touches only
 //!    the plan cache. The only place query text is parsed.
 //! 2. `bind` — snapshot the named database (a brief catalog read lock) and
-//!    derive the result key.
-//! 3. `lookup` — the only result-cache probe. A hit is served on the
+//!    derive the result key and the snapshot's stamp.
+//! 3. `lookup` — the only result-cache read that serves: the key's entry,
+//!    if its stamp matches the bound snapshot's. A hit is served on the
 //!    caller's thread.
 //! 4. `view` (answer mode only) — under the views lock, match the query
 //!    against the database's live views and answer by scanning one.
 //! 5. `run` — pass the admission gate and evaluate, still on the caller's
 //!    thread; makes the one `match` on the result mode.
-//! 6. `fill` — the only result-cache write; also how `SUBSCRIBE` primes the
-//!    cache and how view maintenance patches it in place.
-//! 7. `finish` — stamp the latency, build the only [`QueryResponse`], and
-//!    map the outcome onto the metrics.
+//! 6. `fill` — the only result-cache write: the answer replaces the key's
+//!    previous entry unless that one is stamped newer; also how `SUBSCRIBE`
+//!    primes the cache and how view maintenance patches it.
+//! 7. `finish` — stamp the latency, build the only [`QueryResponse`] (which
+//!    carries the answer, and so its encoded body, to the server), and map
+//!    the outcome onto the metrics.
 //!
 //! `EXPLAIN` runs `prepare → bind → lookup` plus the matching half of
 //! `view`; `ANALYZE` runs `prepare` (and analyzes a text that parses but
@@ -60,10 +69,11 @@
 //! plan under the service's governor limits (falling back to a full
 //! recompute on budget exhaustion), push signed answer deltas to
 //! subscribers, and **patch the result cache in place** — the maintained
-//! answer (and its cardinality, as the `@count`) is installed under the
-//! post-mutation key, so the next `QUERY` for a subscribed query is a
-//! result-cache hit without re-evaluating. A batch that changes nothing
-//! leaves generation, epochs, WAL and cache keys untouched.
+//! answer (and its cardinality, as the `@count`) replaces the query's
+//! entry, stamped with the post-mutation state, so the next `QUERY` for a
+//! subscribed query is a result-cache hit without re-evaluating. A batch
+//! that changes nothing leaves generation, epochs, WAL and cache stamps
+//! untouched.
 //!
 //! **Admission control**: an evaluation starts only inside the gate
 //! (`crate::gate`): at most [`ServiceConfig::workers`] run at once, at most
@@ -79,7 +89,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use pq_analyze::Analysis;
@@ -101,6 +111,7 @@ use crate::durable::{Durability, DurabilityConfig, RecoveryStats, SnapshotSummar
 use crate::error::{Result, ServiceError};
 use crate::gate::Gate;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
+use crate::protocol::encode_rows;
 
 /// Per-request resource limits. `None` fields fall back to the service's
 /// [`ServiceConfig::default_limits`].
@@ -237,6 +248,9 @@ pub struct QueryResponse {
     pub epoch: u64,
     /// End-to-end latency observed by the service.
     pub latency: Duration,
+    /// The answer `rows` belongs to: how its encoded body reaches the
+    /// server.
+    pub(crate) answer: Arc<Answer>,
 }
 
 /// Summary returned by [`QueryService::load_str`].
@@ -497,21 +511,77 @@ impl From<Rejected> for ServiceError {
     }
 }
 
-/// `(query text, db name, generation, mentions fingerprint)`.
+/// `(query text, db name)`: one result-cache entry per query and database.
 /// The query text is [`Prepared::result_text`] (for `@count_by`, the group
 /// list and the canonical form) — a full rendering, not a fingerprint, so even a
 /// 64-bit hash collision between distinct queries only costs a miss, never
-/// a wrong answer. The last component hashes the per-relation epochs of
-/// the relations the plan actually reads (see [`mentions_fingerprint`]):
-/// within one generation the epoch vector is monotone and never repeats
-/// (see [`Catalog::update`]), so a changed relation changes the key, while
-/// mutations elsewhere leave cached entries servable. Counts use the same
-/// scheme, so IVM maintenance patches cached counts in place exactly like
-/// cached answers.
-type ResultKey = (Arc<str>, String, u64, u64);
+/// a wrong answer. Which state of the database the entry answers is its
+/// [`Stamp`], not part of the key, so a newer answer replaces the older one.
+type ResultKey = (Arc<str>, String);
+
+/// The database state an [`Answer`] was computed against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    /// Catalog generation.
+    generation: u64,
+    /// [`mentions_fingerprint`] of the relations the plan reads. Within one
+    /// generation the epoch vector is monotone and never repeats (see
+    /// [`Catalog::update`]), so a changed relation changes the fingerprint,
+    /// while mutations elsewhere leave it — and the entry — servable.
+    fingerprint: u64,
+    /// The database's own epoch; with `generation`, orders the states of one
+    /// name.
+    epoch: u64,
+}
+
+impl Stamp {
+    /// Does an answer stamped `self` answer the same query on a snapshot
+    /// stamped `bound`? The database epoch is not compared: it also moves
+    /// when a relation the query never reads does.
+    fn serves(self, bound: Stamp) -> bool {
+        (self.generation, self.fingerprint) == (bound.generation, bound.fingerprint)
+    }
+
+    /// Was `self` taken from a later state of the database than `other`?
+    fn newer_than(self, other: Stamp) -> bool {
+        (self.generation, self.epoch) > (other.generation, other.epoch)
+    }
+}
+
+/// One computed answer — the result cache's value, and what a response
+/// carries to the server. Counts use the same shape, so IVM maintenance
+/// patches cached counts exactly like cached answers.
+///
+/// An answer is made on one connection thread, then read, reference-counted
+/// and dropped by all of them, so it gets cache lines of its own. Unaligned
+/// it was 72 bytes with its counts — the allocator size class of the
+/// catalog's `Arc<Database>`, whose counts every request moves — and the
+/// freed slots of that class, recycled through the threads' allocator
+/// caches, ended up beside the live database: `wire-cold` lost 30 % of its
+/// throughput to the shared lines, on two cores only (DESIGN.md §10).
+#[derive(Debug)]
+#[repr(align(64))]
+pub(crate) struct Answer {
+    rows: Arc<Relation>,
+    stamp: Stamp,
+    /// The rows' wire encoding ([`encode_rows`]), written by the first
+    /// response that needs it and shared by every later one.
+    body: OnceLock<Arc<[u8]>>,
+}
+
+impl Answer {
+    /// The encoded response body of this answer; encodes on first use.
+    pub(crate) fn body(&self) -> &Arc<[u8]> {
+        self.body.get_or_init(|| {
+            let mut encoded = Vec::new();
+            encode_rows(&self.rows, &mut encoded);
+            encoded.into()
+        })
+    }
+}
 
 /// FNV-1a over the `(name, relation epoch)` pairs of the plan's mentioned
-/// relations — the epoch component of a [`ResultKey`].
+/// relations — the per-relation component of a [`Stamp`].
 fn mentions_fingerprint(db: &Database, mentions: &[String]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -531,19 +601,24 @@ fn mentions_fingerprint(db: &Database, mentions: &[String]) -> u64 {
     h
 }
 
-/// The result-cache key of `prepared` against `snap`; `groups` is the
-/// `@count_by` list (`None` for plain answers and `@count`).
-fn result_key(prepared: &Prepared, groups: Option<&[String]>, snap: &DbSnapshot) -> ResultKey {
+/// The result-cache key of `prepared` on `snap`'s database and the stamp of
+/// `snap` for it; `groups` is the `@count_by` list (`None` for plain answers
+/// and `@count`).
+fn result_key(
+    prepared: &Prepared,
+    groups: Option<&[String]>,
+    snap: &DbSnapshot,
+) -> (ResultKey, Stamp) {
     let text = match groups {
         Some(groups) => format!("@count_by({}) {}", groups.join(","), prepared.canonical).into(),
         None => Arc::clone(&prepared.result_text),
     };
-    (
-        text,
-        snap.name.clone(),
-        snap.generation,
-        mentions_fingerprint(&snap.db, &prepared.mentions),
-    )
+    let stamp = Stamp {
+        generation: snap.generation,
+        fingerprint: mentions_fingerprint(&snap.db, &prepared.mentions),
+        epoch: snap.epoch,
+    };
+    ((text, snap.name.clone()), stamp)
 }
 
 /// Build a governed execution context from resolved request limits. Also
@@ -656,7 +731,7 @@ pub struct QueryService {
     /// `(canonical query form, counting?)` → [`Prepared`]: answer plans and
     /// count plans of one query are separate entries of the one map.
     plan_cache: ShardedCache<(Arc<str>, bool), Prepared>,
-    result_cache: ShardedCache<ResultKey, Relation>,
+    result_cache: ShardedCache<ResultKey, Answer>,
     metrics: ServiceMetrics,
     config: ServiceConfig,
     shutdown: AtomicBool,
@@ -1070,7 +1145,7 @@ impl QueryService {
     /// `O(|view|)` scan, no join evaluation). Returns the answer plus a
     /// snapshot taken under the views lock: maintenance runs under that
     /// lock, so the maintained relation reflects exactly the snapshot's
-    /// epochs and the result is safe to cache under the snapshot's key.
+    /// epochs and the result is safe to cache under the snapshot's stamp.
     fn view(&self, prepared: &Prepared, db_name: &str) -> Option<(Arc<Relation>, DbSnapshot)> {
         let views = self.views.lock().expect("views poisoned");
         let (registry, m) = self.view_match(&views, prepared, db_name)?;
@@ -1161,11 +1236,12 @@ impl QueryService {
         }
     }
 
-    /// Install a view's maintained `answer` under `snap`'s keys for each of
-    /// its `cached` forms: the answer itself, and its cardinality as the
-    /// `@count` (the maintained answer is the view's exact distinct answer
-    /// set). This is how `SUBSCRIBE` primes the result cache and how IVM
-    /// patches it in place after a mutation.
+    /// Install a view's maintained `answer`, stamped with `snap`'s state, for
+    /// each of its `cached` forms: the answer itself, and its cardinality as
+    /// the `@count` (the maintained answer is the view's exact distinct
+    /// answer set). This is how `SUBSCRIBE` primes the result cache and how
+    /// IVM patches it after a mutation: each fill replaces the form's
+    /// previous entry, and with it the body encoded for the old rows.
     fn fill_from_view(&self, cached: &[Arc<Prepared>], snap: &DbSnapshot, answer: &Arc<Relation>) {
         for p in cached {
             let rows = match &p.plan {
@@ -1181,7 +1257,8 @@ impl QueryService {
                     Arc::new(count)
                 }
             };
-            self.fill(result_key(p, None, snap), rows);
+            let (key, stamp) = result_key(p, None, snap);
+            self.fill(key, rows, stamp);
         }
     }
 
@@ -1263,10 +1340,10 @@ impl QueryService {
     pub fn explain(&self, db_name: &str, src: &str) -> Result<Explanation> {
         self.check_admitting()?;
         let (prepared, plan_was_cached) = self.prepare(src, false)?;
-        let (snap, key) = self.bind(&prepared, None, db_name)?;
+        let (snap, key, stamp) = self.bind(&prepared, None, db_name)?;
         // The probe moves the cache's own hit/miss counters but not the
         // service's `result_hits`/`result_misses`: nothing was served.
-        let result_is_cached = self.lookup(&key).is_some();
+        let result_is_cached = self.lookup(&key, stamp).is_some();
         let answered_from_view = {
             let views = self.views.lock().expect("views poisoned");
             self.view_match(&views, &prepared, db_name)
@@ -1480,8 +1557,8 @@ impl QueryService {
                 Some(CountMode::Grouped(groups)) => Some(groups.as_slice()),
                 _ => None,
             };
-            let (snap, key) = self.bind(&prepared, groups, db_name)?;
-            if let Some(rows) = self.lookup(&key) {
+            let (snap, key, stamp) = self.bind(&prepared, groups, db_name)?;
+            if let Some(answer) = self.lookup(&key, stamp) {
                 ServiceMetrics::bump(&m.result_hits);
                 if prepared.rekeyed {
                     // The hit was keyed by the minimized core, not the
@@ -1489,7 +1566,7 @@ impl QueryService {
                     // makes possible.
                     ServiceMetrics::bump(&m.semantic_cache_hits);
                 }
-                return Ok((rows, prepared.engine, CacheOutcome::ResultHit, snap));
+                return Ok((answer, prepared.engine, CacheOutcome::ResultHit, snap));
             }
             ServiceMetrics::bump(&m.result_misses);
             let evaluated = if plan_hit {
@@ -1502,13 +1579,14 @@ impl QueryService {
             if mode.is_none() {
                 if let Some((rows, vsnap)) = self.view(&prepared, db_name) {
                     ServiceMetrics::bump(&m.view_answered_queries);
-                    self.fill(result_key(&prepared, None, &vsnap), Arc::clone(&rows));
-                    return Ok((rows, "view-scan", evaluated, vsnap));
+                    let (key, stamp) = result_key(&prepared, None, &vsnap);
+                    let answer = self.fill(key, rows, stamp);
+                    return Ok((answer, "view-scan", evaluated, vsnap));
                 }
             }
             let rows = self.run(&prepared, groups, &snap.db, limits)?;
-            self.fill(key, Arc::clone(&rows));
-            Ok((rows, prepared.engine, evaluated, snap))
+            let answer = self.fill(key, rows, stamp);
+            Ok((answer, prepared.engine, evaluated, snap))
         })();
         self.finish(start, mode.is_some(), served)
     }
@@ -1586,21 +1664,29 @@ impl QueryService {
     }
 
     /// Stage `bind`: snapshot the named database and derive the result key
-    /// of `prepared` against it.
+    /// of `prepared` on it and the snapshot's stamp.
     fn bind(
         &self,
         prepared: &Prepared,
         groups: Option<&[String]>,
         db_name: &str,
-    ) -> Result<(DbSnapshot, ResultKey)> {
+    ) -> Result<(DbSnapshot, ResultKey, Stamp)> {
         let snap = self.catalog.snapshot(db_name)?;
-        let key = result_key(prepared, groups, &snap);
-        Ok((snap, key))
+        let (key, stamp) = result_key(prepared, groups, &snap);
+        Ok((snap, key, stamp))
     }
 
-    /// Stage `lookup`: the only result-cache probe.
-    fn lookup(&self, key: &ResultKey) -> Option<Arc<Relation>> {
+    /// The entry under `key`, whatever state it answers: the only
+    /// result-cache probe.
+    fn entry(&self, key: &ResultKey) -> Option<Arc<Answer>> {
         self.result_cache.get(key)
+    }
+
+    /// Stage `lookup`: the entry under `key`, if it answers the snapshot
+    /// stamped `bound`. The key alone is never trusted: requests bound to
+    /// different snapshots share the one slot.
+    fn lookup(&self, key: &ResultKey, bound: Stamp) -> Option<Arc<Answer>> {
+        self.entry(key).filter(|hit| hit.stamp.serves(bound))
     }
 
     /// Stage `run`: pass the admission gate (rejecting with
@@ -1657,10 +1743,27 @@ impl QueryService {
         Ok(Arc::new(rows))
     }
 
-    /// Stage `fill`: the only result-cache write — evaluated answers, view
-    /// scans, `SUBSCRIBE` priming and IVM's in-place patches all land here.
-    fn fill(&self, key: ResultKey, rows: Arc<Relation>) {
-        self.result_cache.insert(key, rows);
+    /// Stage `fill`: where `rows` become an [`Answer`], and the only
+    /// result-cache write — evaluated answers, view scans, `SUBSCRIBE`
+    /// priming and IVM's patches all land here. The answer replaces the
+    /// key's previous entry (dropping the rows and the encoded body of the
+    /// state that one answered), except that an answer from an older
+    /// snapshot never displaces a newer one. Two racing fills may still land
+    /// in either order; `lookup` checks the stamp, so that costs a miss at
+    /// worst.
+    fn fill(&self, key: ResultKey, rows: Arc<Relation>, stamp: Stamp) -> Arc<Answer> {
+        let answer = Arc::new(Answer {
+            rows,
+            stamp,
+            body: OnceLock::new(),
+        });
+        let superseded = self
+            .entry(&key)
+            .is_some_and(|kept| kept.stamp.newer_than(stamp));
+        if !superseded {
+            self.result_cache.insert(key, Arc::clone(&answer));
+        }
+        answer
     }
 
     /// Stage `finish`: stamp the latency, build the response, and account
@@ -1669,11 +1772,11 @@ impl QueryService {
         &self,
         start: Instant,
         counting: bool,
-        served: Result<(Arc<Relation>, &'static str, CacheOutcome, DbSnapshot)>,
+        served: Result<(Arc<Answer>, &'static str, CacheOutcome, DbSnapshot)>,
     ) -> Result<QueryResponse> {
         let m = &self.metrics;
         match served {
-            Ok((rows, engine, cache, snap)) => {
+            Ok((answer, engine, cache, snap)) => {
                 let latency = start.elapsed();
                 ServiceMetrics::bump(&m.queries_served);
                 m.latency.record(latency);
@@ -1682,7 +1785,8 @@ impl QueryService {
                     m.count_latency.record(latency);
                 }
                 Ok(QueryResponse {
-                    rows,
+                    rows: Arc::clone(&answer.rows),
+                    answer,
                     engine,
                     cache,
                     generation: snap.generation,
@@ -2247,20 +2351,56 @@ mod tests {
 
     #[test]
     fn unrelated_mutation_keeps_the_result_cache_entry() {
-        // Satellite payoff of the per-relation epoch vector: the key's
+        // Satellite payoff of the per-relation epoch vector: the stamp's
         // fingerprint only covers the relations the plan reads, so mutating
-        // S must not evict a query over R.
+        // S must not evict a query over R — nor the body encoded for it.
         let svc = service();
         let src = "G(x) :- R(x, y).";
-        svc.query("d", src, RequestLimits::default()).unwrap();
+        let before = svc.query("d", src, RequestLimits::default()).unwrap();
+        let body = Arc::clone(before.answer.body());
         svc.insert_rows("d", "S", vec![tuple![50, 60]]).unwrap();
         let after = svc.query("d", src, RequestLimits::default()).unwrap();
         assert_eq!(after.cache, CacheOutcome::ResultHit, "S is not mentioned");
-        // ...while mutating R does evict it.
+        assert!(after.epoch > before.epoch);
+        assert!(Arc::ptr_eq(&body, after.answer.body()), "encoded once");
+        // ...while mutating R does evict it, rows and body.
         svc.insert_rows("d", "R", vec![tuple![7, 8]]).unwrap();
         let evicted = svc.query("d", src, RequestLimits::default()).unwrap();
         assert_ne!(evicted.cache, CacheOutcome::ResultHit);
         assert_eq!(evicted.rows.len(), 3);
+        assert_eq!(&**evicted.answer.body(), b"1\n2\n7\n");
+        assert_eq!(svc.cache_sizes().1, 1, "the new answer replaced the old");
+    }
+
+    #[test]
+    fn an_older_snapshots_fill_never_replaces_a_newer_entry() {
+        // One slot per (text, database): requests bound to different
+        // snapshots race for it, and the outcome must not depend on who
+        // fills last.
+        let svc = service();
+        let limits = RequestLimits::default();
+        let (prepared, _) = svc.prepare("G(x) :- R(x, y).", false).ok().unwrap();
+        let (snap_a, key, stamp_a) = svc.bind(&prepared, None, "d").unwrap();
+        svc.insert_rows("d", "R", vec![tuple![7, 8]]).unwrap();
+        let (snap_b, _, stamp_b) = svc.bind(&prepared, None, "d").unwrap();
+        assert!(stamp_b.newer_than(stamp_a) && !stamp_b.serves(stamp_a));
+
+        let rows_b = svc.run(&prepared, None, &snap_b.db, limits).unwrap();
+        let rows_a = svc.run(&prepared, None, &snap_a.db, limits).unwrap();
+        svc.fill(key.clone(), rows_b, stamp_b);
+        let late = svc.fill(key.clone(), rows_a, stamp_a);
+        // The late request still answers from its own snapshot...
+        assert_eq!(late.rows.canonical_rows(), vec![tuple![1], tuple![2]]);
+        // ...the slot still holds B's answer, and only B's snapshot hits it.
+        let hit = svc
+            .lookup(&key, stamp_b)
+            .expect("B's entry survives A's fill");
+        assert_eq!(hit.rows.len(), 3);
+        assert!(
+            svc.lookup(&key, stamp_a).is_none(),
+            "the key alone is not trusted"
+        );
+        assert_eq!(svc.cache_sizes().1, 1);
     }
 
     #[test]

@@ -344,3 +344,139 @@ fn an_overlong_request_line_is_refused_and_its_connection_closed() {
 
     handle.stop();
 }
+
+// ---- result-cache lifecycle, as a client sees it ----
+
+const JOIN: &str = "G(x, z) :- R(x, y), S(y, z).";
+
+/// Send `request`, require `cache=<level>` in the header, return the body.
+fn body_at(conn: &mut TcpStream, request: &str, level: &str) -> Vec<String> {
+    let resp = roundtrip(conn, request).unwrap();
+    assert!(
+        resp[0].starts_with("OK ") && resp[0].contains(&format!(" cache={level} ")),
+        "{request}: expected cache={level}, got {resp:?}"
+    );
+    resp[1..].to_vec()
+}
+
+/// Open a connection and dedicate it to a subscription on `src`; dropping
+/// the returned stream ends the subscription.
+fn subscribe(addr: std::net::SocketAddr, src: &str) -> TcpStream {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(format!("SUBSCRIBE d {src}\n").as_bytes())
+        .unwrap();
+    let initial = read_response(&mut BufReader::new(conn.try_clone().unwrap())).unwrap();
+    assert!(initial[0].starts_with("OK subscribed "), "{initial:?}");
+    conn
+}
+
+/// A patched entry never serves the body encoded for its predecessor, and
+/// the cache holds one entry per query and database however many epochs
+/// pass: every answer after a mutation is the one a fresh service computes
+/// from the final state.
+#[test]
+fn a_patched_entry_replaces_its_predecessor_and_its_encoded_body() {
+    let svc = Arc::new(QueryService::with_defaults());
+    svc.load_str("d", DB_TEXT).unwrap();
+    let handle = serve("127.0.0.1:0", svc).unwrap();
+    let _view = subscribe(handle.local_addr(), JOIN);
+    let mut conn = TcpStream::connect(handle.local_addr()).unwrap();
+
+    let requests = [format!("QUERY d {JOIN}"), format!("QUERY @count d {JOIN}")];
+    for k in 0..6 {
+        let resp = roundtrip(&mut conn, &format!("INSERT d R {}, 2", 100 + k)).unwrap();
+        assert!(resp[0].starts_with("OK inserted 1 R"), "{resp:?}");
+
+        let inserted: String = (0..=k).map(|i| format!("  {}, 2\n", 100 + i)).collect();
+        let state = DB_TEXT.replace("S(b, c):", &format!("{inserted}S(b, c):"));
+        let fresh = Arc::new(QueryService::with_defaults());
+        fresh.load_str("d", &state).unwrap();
+        let oracle = serve("127.0.0.1:0", fresh).unwrap();
+        let mut oracle_conn = TcpStream::connect(oracle.local_addr()).unwrap();
+        for request in &requests {
+            let expected = body_at(&mut oracle_conn, request, "cold");
+            // The first hit encodes the patched answer, the second reuses it.
+            assert_eq!(body_at(&mut conn, request, "result-cache"), expected);
+            assert_eq!(body_at(&mut conn, request, "result-cache"), expected);
+        }
+        oracle.stop();
+        assert_eq!(
+            handle.service().cache_sizes().1,
+            requests.len(),
+            "one entry per (text, database), after {} epochs",
+            k + 1
+        );
+    }
+    handle.stop();
+}
+
+/// cold ≡ plan-warm ≡ result-warm ≡ view-answered, byte for byte, for an
+/// answer and for a count.
+#[test]
+fn every_cache_level_and_the_view_serve_the_same_bytes() {
+    let svc = Arc::new(QueryService::with_defaults());
+    svc.load_str("d", DB_TEXT).unwrap();
+    let handle = serve("127.0.0.1:0", svc).unwrap();
+    let mut conn = TcpStream::connect(handle.local_addr()).unwrap();
+    // Moves the epochs of a relation both queries read and puts its content
+    // back: the cached entries stop matching, the answers stay.
+    let invalidate = |conn: &mut TcpStream| {
+        for verb in ["INSERT", "DELETE"] {
+            let resp = roundtrip(conn, &format!("{verb} d R 77, 2")).unwrap();
+            assert!(resp[0].starts_with("OK "), "{resp:?}");
+        }
+    };
+
+    let projected = "QUERY d G(x) :- R(x, y), S(y, z).".to_string();
+    let counted = format!("QUERY @count d {JOIN}");
+    let mut bodies = Vec::new();
+    for request in [&projected, &counted] {
+        let cold = body_at(&mut conn, request, "cold");
+        assert_eq!(body_at(&mut conn, request, "result-cache"), cold);
+        assert_eq!(body_at(&mut conn, request, "result-cache"), cold);
+        invalidate(&mut conn);
+        assert_eq!(body_at(&mut conn, request, "plan-cache"), cold);
+        bodies.push(cold);
+    }
+    assert_eq!(bodies[0], ["1", "2"]);
+    assert_eq!(bodies[1], ["2"]);
+
+    // With a view on the join registered, the projection is answered by
+    // scanning the view, and the count from the view's cardinality.
+    let _view = subscribe(handle.local_addr(), JOIN);
+    assert_eq!(body_at(&mut conn, &counted, "result-cache"), bodies[1]);
+    invalidate(&mut conn);
+    let resp = roundtrip(&mut conn, &projected).unwrap();
+    assert!(resp[0].contains(" engine=view-scan "), "{resp:?}");
+    assert_eq!(resp[1..], bodies[0]);
+    assert_eq!(body_at(&mut conn, &projected, "result-cache"), bodies[0]);
+    assert_eq!(body_at(&mut conn, &counted, "result-cache"), bodies[1]);
+    handle.stop();
+}
+
+/// Loading over an existing name starts a fresh generation: the next answer
+/// replaces the old generation's entry instead of settling beside it.
+#[test]
+fn a_reload_replaces_the_old_generations_entry() {
+    let data_dir = temp_data_dir("reload");
+    let svc = Arc::new(QueryService::with_defaults());
+    let handle = serve_with_data_dir("127.0.0.1:0", svc, &data_dir).unwrap();
+    let mut conn = TcpStream::connect(handle.local_addr()).unwrap();
+    let request = format!("QUERY d {JOIN}");
+
+    roundtrip(&mut conn, "LOAD d base.db").unwrap();
+    assert_eq!(body_at(&mut conn, &request, "cold"), ["1, 9", "2, 7"]);
+    assert_eq!(handle.service().cache_sizes().1, 1);
+
+    std::fs::write(data_dir.join("base.db"), DB_TEXT.replace("2, 9", "2, 8")).unwrap();
+    roundtrip(&mut conn, "LOAD d base.db").unwrap();
+    assert_eq!(body_at(&mut conn, &request, "plan-cache"), ["1, 8", "2, 7"]);
+    assert_eq!(
+        body_at(&mut conn, &request, "result-cache"),
+        ["1, 8", "2, 7"]
+    );
+    assert_eq!(handle.service().cache_sizes().1, 1);
+
+    handle.stop();
+    let _ = std::fs::remove_dir_all(data_dir);
+}
