@@ -234,7 +234,6 @@ fn cc_options(k: usize, opts: &PlannerOptions) -> ColorCodingOptions {
     if k <= opts.deterministic_k_limit {
         ColorCodingOptions {
             family: HashFamily::Perfect,
-            minimize_hashed_attrs: true,
         }
     } else {
         ColorCodingOptions::randomized(k, opts.randomized_confidence, opts.seed)
@@ -486,7 +485,6 @@ pub fn evaluate_with_fallback(
     }
     let cc = ColorCodingOptions {
         family: HashFamily::Perfect,
-        minimize_hashed_attrs: true,
     };
     let chain: [Step<'_, Relation, EngineError>; 5] = [
         (

@@ -2,9 +2,7 @@
 //!
 //! These are the operators Section 5's Algorithms 1 and 2 are phrased in
 //! (e.g. `Pu := σ_F(Pu ⋈ π_{Yj∩Yu}(Pj))`). Joins are *natural* joins: columns
-//! are matched by attribute name. Two implementations are provided — hash
-//! join (default) and sort-merge join — so the choice can be ablated
-//! (DESIGN.md A5).
+//! are matched by attribute name, and computed as hash joins.
 
 use std::collections::HashMap;
 
@@ -166,45 +164,6 @@ impl Relation {
         Ok(out)
     }
 
-    /// Natural join ⋈ via sort-merge join. Semantically identical to
-    /// [`Relation::natural_join`]; kept for the A5 ablation bench.
-    pub fn natural_join_sort_merge(&self, right: &Relation) -> Result<Relation> {
-        let plan = join_plan(self, right);
-        let mut out = Relation::new(plan.out_attrs.iter().cloned())?;
-        let mut ls: Vec<(Tuple, &Tuple)> = self
-            .iter()
-            .map(|t| (t.project(&plan.left_key), t))
-            .collect();
-        let mut rs: Vec<(Tuple, &Tuple)> = right
-            .iter()
-            .map(|t| (t.project(&plan.right_key), t))
-            .collect();
-        ls.sort_by(|a, b| a.0.cmp(&b.0));
-        rs.sort_by(|a, b| a.0.cmp(&b.0));
-        let (mut i, mut j) = (0, 0);
-        while i < ls.len() && j < rs.len() {
-            match ls[i].0.cmp(&rs[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let key = &ls[i].0;
-                    let i_end = ls[i..].iter().take_while(|(k, _)| k == key).count() + i;
-                    let j_end = rs[j..].iter().take_while(|(k, _)| k == key).count() + j;
-                    for (_, lt) in &ls[i..i_end] {
-                        for (_, rt) in &rs[j..j_end] {
-                            let extra = plan.right_rest.iter().map(|&c| rt[c].clone());
-                            out.insert(lt.extend_with(extra))
-                                .expect("join arity matches");
-                        }
-                    }
-                    i = i_end;
-                    j = j_end;
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Semijoin ⋉: tuples of `self` that join with at least one tuple of
     /// `right` on the shared attributes.
     pub fn semijoin(&self, right: &Relation) -> Relation {
@@ -318,21 +277,6 @@ mod tests {
         assert_eq!(j.attrs(), ["x", "y", "z"]);
         assert_eq!(j.len(), 1);
         assert!(j.contains(&tuple![1, 2, 3]));
-    }
-
-    #[test]
-    fn sort_merge_agrees_with_hash_join() {
-        let e = edges();
-        let e2 = e
-            .rename(&HashMap::from([
-                ("x".into(), "y".into()),
-                ("y".into(), "z".into()),
-            ]))
-            .unwrap();
-        assert_eq!(
-            e.natural_join(&e2).unwrap(),
-            e.natural_join_sort_merge(&e2).unwrap()
-        );
     }
 
     #[test]

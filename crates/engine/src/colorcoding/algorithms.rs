@@ -65,23 +65,14 @@ pub struct Prepared {
 impl Prepared {
     /// Build the `h`-independent structure. Fails when the query is cyclic,
     /// has comparison atoms, or references unknown relations.
-    ///
-    /// `minimize_hashed_attrs` selects the paper's `W_j` definition (true)
-    /// or the widened variant carrying *every* subtree `V1`-variable
-    /// (false) — ablation A1 of DESIGN.md.
-    pub fn build(
-        q: &ConjunctiveQuery,
-        db: &Database,
-        minimize_hashed_attrs: bool,
-    ) -> Result<Prepared> {
-        Prepared::build_governed(q, db, minimize_hashed_attrs, &ExecutionContext::unlimited())
+    pub fn build(q: &ConjunctiveQuery, db: &Database) -> Result<Prepared> {
+        Prepared::build_governed(q, db, &ExecutionContext::unlimited())
     }
 
     /// [`Prepared::build`] under the resource limits of `ctx`.
     pub fn build_governed(
         q: &ConjunctiveQuery,
         db: &Database,
-        minimize_hashed_attrs: bool,
         ctx: &ExecutionContext,
     ) -> Result<Prepared> {
         if !q.comparisons.is_empty() {
@@ -127,7 +118,10 @@ impl Prepared {
             })
             .collect();
 
-        // W_j: V1-variables below j that still have an unresolved I1 partner.
+        // W_j: V1-variables below j that still have an I1 partner outside
+        // their child's subtree (the paper's definition, which keeps the
+        // hashed columns carried through j to the ones a later selection
+        // needs).
         let mut w_vars: Vec<BTreeSet<String>> = vec![BTreeSet::new(); q.atoms.len()];
         for j in 0..q.atoms.len() {
             for x in &partition.v1 {
@@ -141,14 +135,10 @@ impl Prepared {
                     .copied()
                     .find(|&c| subtree_vars[c].contains(x))
                     .expect("join-tree property: x lives in exactly one child subtree");
-                let needed = if minimize_hashed_attrs {
-                    partition.i1.iter().any(|(a, b)| {
-                        (a == x && !subtree_vars[child].contains(b))
-                            || (b == x && !subtree_vars[child].contains(a))
-                    })
-                } else {
-                    true
-                };
+                let needed = partition.i1.iter().any(|(a, b)| {
+                    (a == x && !subtree_vars[child].contains(b))
+                        || (b == x && !subtree_vars[child].contains(a))
+                });
                 if needed {
                     w_vars[j].insert(x.clone());
                 }
@@ -305,7 +295,7 @@ pub fn algorithm2_governed(
         other = keep_lists(&prep.y_hg, &prep.tree, head_vars);
         &other
     };
-    join_reduced(&prep.tree, keep, &mut p, true, ctx, ENGINE)
+    join_reduced(&prep.tree, keep, &mut p, ctx, ENGINE)
 }
 
 #[cfg(test)]
@@ -316,7 +306,7 @@ mod tests {
 
     fn prep_for(src: &str, db: &Database) -> Prepared {
         let q = parse_cq(src).unwrap();
-        Prepared::build(&q, db, true).unwrap()
+        Prepared::build(&q, db).unwrap()
     }
 
     fn ep_db() -> Database {
@@ -368,7 +358,7 @@ mod tests {
     fn algorithm2_projects_onto_head() {
         let db = ep_db();
         let q = parse_cq("G(e) :- EP(e, p), EP(e, p2), p != p2.").unwrap();
-        let prep = Prepared::build(&q, &db, true).unwrap();
+        let prep = Prepared::build(&q, &db).unwrap();
         let dom = DomainIndex::from_database(&db);
         let idx_p1 = dom.index_of(&Value::str("p1")).unwrap();
         let mut colors = vec![0u32; dom.len()];
@@ -385,7 +375,7 @@ mod tests {
         db.add_table("R", ["a", "b"], [tuple![1, 1], tuple![1, 2]])
             .unwrap();
         let q = parse_cq("G :- R(x, y), x != y.").unwrap();
-        let prep = Prepared::build(&q, &db, true).unwrap();
+        let prep = Prepared::build(&q, &db).unwrap();
         assert_eq!(prep.partition.k(), 0);
         assert_eq!(prep.s[0].len(), 1); // only (1,2) survives
     }
@@ -395,7 +385,7 @@ mod tests {
         let db = ep_db();
         let q = parse_cq("G(e) :- EP(e, p), EP(e, p2), p < p2.").unwrap();
         assert!(matches!(
-            Prepared::build(&q, &db, true),
+            Prepared::build(&q, &db),
             Err(EngineError::Unsupported(_))
         ));
     }
@@ -406,25 +396,30 @@ mod tests {
         db.add_table("E", ["a", "b"], [tuple![1, 2]]).unwrap();
         let q = parse_cq("G :- E(x, y), E(y, z), E(z, x), x != z.").unwrap();
         assert!(matches!(
-            Prepared::build(&q, &db, true),
+            Prepared::build(&q, &db),
             Err(EngineError::Unsupported(_))
         ));
     }
 
     #[test]
-    fn wide_attribute_mode_agrees_on_emptiness() {
-        let db = ep_db();
-        let q = parse_cq("G(e) :- EP(e, p), EP(e, p2), p != p2.").unwrap();
-        let dom = DomainIndex::from_database(&db);
-        let narrow = Prepared::build(&q, &db, true).unwrap();
-        let wide = Prepared::build(&q, &db, false).unwrap();
-        let idx_p1 = dom.index_of(&Value::str("p1")).unwrap();
-        let mut colors = vec![0u32; dom.len()];
-        colors[idx_p1] = 1;
-        let h = Coloring::new(colors);
-        assert_eq!(
-            algorithm1(&narrow, &dom, &h).is_some(),
-            algorithm1(&wide, &dom, &h).is_some()
+    fn w_sets_carry_only_unresolved_partners() {
+        // The I1 pair x2 ≠ x4 is decided where the chain's C and D atoms
+        // meet, so whatever the root, the nodes of A and B carry no hashed
+        // copy and at most one node carries one at all. Carrying every
+        // subtree V1-variable would put both copies into every ancestor of
+        // C and D.
+        let mut db = Database::new();
+        for r in ["A", "B", "C", "D"] {
+            db.add_table(r, ["a", "b"], [tuple![1, 2], tuple![2, 1]])
+                .unwrap();
+        }
+        let prep = prep_for(
+            "G(x0) :- A(x0, x1), B(x1, x2), C(x2, x3), D(x3, x4), x2 != x4.",
+            &db,
         );
+        assert_eq!(prep.partition.k(), 2);
+        assert!(prep.w_vars[0].is_empty() && prep.w_vars[1].is_empty());
+        let carried: usize = prep.w_vars.iter().map(BTreeSet::len).sum();
+        assert!(carried <= 1, "{:?}", prep.w_vars);
     }
 }

@@ -37,17 +37,13 @@ const TRIAL_BATCH: usize = 64;
 pub struct ColorCodingOptions {
     /// The hash family to drive the algorithms with.
     pub family: HashFamily,
-    /// Use the paper's minimized `W_j` sets (true) or carry every subtree
-    /// `V1`-variable (false; ablation A1).
-    pub minimize_hashed_attrs: bool,
 }
 
 impl Default for ColorCodingOptions {
-    /// Deterministic (k-perfect family), minimized attributes.
+    /// Deterministic (k-perfect family).
     fn default() -> Self {
         ColorCodingOptions {
             family: HashFamily::Perfect,
-            minimize_hashed_attrs: true,
         }
     }
 }
@@ -60,7 +56,6 @@ impl ColorCodingOptions {
                 trials: HashFamily::suggested_trials(k, c),
                 seed,
             },
-            minimize_hashed_attrs: true,
         }
     }
 
@@ -68,7 +63,6 @@ impl ColorCodingOptions {
     pub fn randomized_trials(trials: usize, seed: u64) -> Self {
         ColorCodingOptions {
             family: HashFamily::Random { trials, seed },
-            minimize_hashed_attrs: true,
         }
     }
 }
@@ -107,7 +101,7 @@ pub fn is_nonempty_governed(
         }));
     }
     check_safety(q, neq_variables(q))?;
-    let prep = Prepared::build_governed(q, db, opts.minimize_hashed_attrs, ctx)?;
+    let prep = Prepared::build_governed(q, db, ctx)?;
     if prep.partition.trivially_false {
         return Ok(false);
     }
@@ -207,7 +201,7 @@ pub fn evaluate_governed(
             Ok(out)
         };
     }
-    let prep = Prepared::build_governed(q, db, opts.minimize_hashed_attrs, ctx)?;
+    let prep = Prepared::build_governed(q, db, ctx)?;
     if prep.partition.trivially_false {
         return Ok(out);
     }

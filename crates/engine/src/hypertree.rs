@@ -303,7 +303,7 @@ pub fn evaluate_decomposed(
         return vacuous_output(q);
     }
     let (bags, tree, mut rels) = materialize_bags_governed(q, db, d, ctx)?;
-    reduce_and_join(q, &bags, &tree, &mut rels, Default::default(), ctx, ENGINE)
+    reduce_and_join(q, &bags, &tree, &mut rels, ctx, ENGINE)
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 //! *inherent* — not an artifact of sloppy engineering. This engine makes
 //! that claim testable: it is the same backtracking search as
 //! [`crate::naive`], but each atom probe goes through a hash index on a
-//! bound column instead of a relation scan. Constant factors drop
-//! dramatically; the fitted exponent stays put (bench
-//! `thm1/cq_clique_naive` vs `thm1/cq_clique_indexed`).
+//! bound column instead of a relation scan. It does less work, but the
+//! fitted exponent still grows with the query (`tests/paper.rs`,
+//! `paper_x7_indexing_keeps_k_in_the_exponent`).
 
 use std::collections::HashMap;
 

@@ -19,25 +19,6 @@ use crate::sweep::{fold_up, keep_lists, push_down};
 /// Engine name reported in resource-exhaustion errors.
 const ENGINE: &str = "yannakakis";
 
-/// Options for [`evaluate_with_options`]; the default runs the full
-/// Yannakakis pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct EvalOptions {
-    /// Run the top-down semijoin pass that removes dangling tuples before
-    /// the output join phase. Disabling it is still *correct* (the upward
-    /// joins re-filter), but intermediate results can exceed the
-    /// input+output bound — this is ablation A3 of DESIGN.md.
-    pub downward_pass: bool,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            downward_pass: true,
-        }
-    }
-}
-
 /// Per-atom relation `S_j = π_{U_j} σ_{F_j}(R_{i_j})` of Section 5: the
 /// instantiations of the atom's variables that map it into the database.
 /// The selection enforces (i) the atom's constants and (ii) equalities
@@ -161,7 +142,7 @@ pub fn decide_governed(
     }
 }
 
-/// Full evaluation with default options.
+/// Full evaluation of an acyclic pure CQ, time polynomial in input + output.
 ///
 /// ```
 /// use pq_data::{tuple, Database};
@@ -175,36 +156,17 @@ pub fn decide_governed(
 /// assert!(out.contains(&tuple![1, 9]));
 /// ```
 pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
-    evaluate_with_options(q, db, EvalOptions::default())
+    evaluate_governed(q, db, &ExecutionContext::unlimited())
 }
 
-/// [`evaluate`] under the resource limits of `ctx`.
-pub fn evaluate_governed(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ctx: &ExecutionContext,
-) -> Result<Relation> {
-    evaluate_with_options_governed(q, db, EvalOptions::default(), ctx)
-}
-
-/// Full evaluation of an acyclic pure CQ, time polynomial in input + output.
-pub fn evaluate_with_options(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    opts: EvalOptions,
-) -> Result<Relation> {
-    evaluate_with_options_governed(q, db, opts, &ExecutionContext::unlimited())
-}
-
-/// [`evaluate_with_options`] under the resource limits of `ctx`: the passes
-/// are steps of [`crate::sweep`], which ticks per tree edge and charges every
+/// [`evaluate`] under the resource limits of `ctx`: the passes are steps of
+/// [`crate::sweep`], which ticks per tree edge and charges every
 /// intermediate relation they build, so runaway join phases stop at the
 /// budget instead of exhausting memory, and which fans them out on the pool
 /// `ctx` carries with the same relations and charges at any degree.
-pub fn evaluate_with_options_governed(
+pub fn evaluate_governed(
     q: &ConjunctiveQuery,
     db: &Database,
-    opts: EvalOptions,
     ctx: &ExecutionContext,
 ) -> Result<Relation> {
     check_safety(q, [])?;
@@ -213,7 +175,7 @@ pub fn evaluate_with_options_governed(
     }
     let (hg, tree) = prepare(q)?;
     let mut rels = atom_relations(q, db, ctx)?;
-    reduce_and_join(q, &hg, &tree, &mut rels, opts, ctx, ENGINE)
+    reduce_and_join(q, &hg, &tree, &mut rels, ctx, ENGINE)
 }
 
 /// Section 5's algorithm after the per-node relations exist: the upward
@@ -226,14 +188,13 @@ pub(crate) fn reduce_and_join(
     hg: &Hypergraph,
     tree: &JoinTree,
     rels: &mut [Relation],
-    opts: EvalOptions,
     ctx: &ExecutionContext,
     engine: &'static str,
 ) -> Result<Relation> {
     let z: Vec<String> = q.head_variables().iter().map(|v| v.to_string()).collect();
     let star = if upward_pass(tree, rels, ctx, engine)? {
         let keep = keep_lists(hg, tree, &z);
-        join_reduced(tree, &keep, rels, opts.downward_pass, ctx, engine)?
+        join_reduced(tree, &keep, rels, ctx, engine)?
     } else {
         Relation::new(z)?
     };
@@ -268,9 +229,9 @@ pub(crate) fn join_projected(
 /// The tail every enumerating sweep shares once no tuple of a parent lacks a
 /// partner in a child — after [`upward_pass`], or after Algorithm 1, which
 /// joined every child into its parent: the downward semijoin pass
-/// `P_j := P_j ⋉ P_u` (full-reducer half 2, removes dangling tuples;
-/// skippable), the bottom-up output join `P_u := P_u ⋈ π_{keep[j]}(P_j)`, and
-/// `P* = π_Z(P_root)`, where `keep` is [`keep_lists`] for `Z`. This *is*
+/// `P_j := P_j ⋉ P_u` (full-reducer half 2, removes dangling tuples, so no
+/// intermediate exceeds the input + output bound), the bottom-up output
+/// join `P_u := P_u ⋈ π_{keep[j]}(P_j)`, and `P* = π_Z(P_root)`, where `keep` is [`keep_lists`] for `Z`. This *is*
 /// Algorithm 2 when the nodes are color coding's `P_j`.
 ///
 /// `rels` is borrowed, not consumed: the caller drops the node relations
@@ -282,17 +243,14 @@ pub(crate) fn join_reduced(
     tree: &JoinTree,
     keep: &[Vec<String>],
     rels: &mut [Relation],
-    downward_pass: bool,
     ctx: &ExecutionContext,
     engine: &'static str,
 ) -> Result<Relation> {
-    let alive = (!downward_pass
-        || push_down(tree, rels, ctx, engine, |ctx, node, parent, _| {
-            Ok::<_, EngineError>(node.par_semijoin(parent, ctx.pool()))
-        })?)
-        && fold_up(tree, rels, ctx, engine, |ctx, parent, child, j| {
-            join_projected(ctx, parent, child, &keep[j])
-        })?;
+    let alive = push_down(tree, rels, ctx, engine, |ctx, node, parent, _| {
+        Ok::<_, EngineError>(node.par_semijoin(parent, ctx.pool()))
+    })? && fold_up(tree, rels, ctx, engine, |ctx, parent, child, j| {
+        join_projected(ctx, parent, child, &keep[j])
+    })?;
     let z: Vec<&str> = keep[tree.root()].iter().map(String::as_str).collect();
     let star = if alive {
         rels[tree.root()].project(&z)?
@@ -395,29 +353,6 @@ mod tests {
         let out = evaluate(&q, &db).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.contains(&tuple![1]));
-    }
-
-    #[test]
-    fn skipping_downward_pass_is_still_correct() {
-        let q = parse_cq("G(x, w) :- R(x, y), S(y, z), T(z, w).").unwrap();
-        let db = chain_db();
-        let with = evaluate_with_options(
-            &q,
-            &db,
-            EvalOptions {
-                downward_pass: true,
-            },
-        )
-        .unwrap();
-        let without = evaluate_with_options(
-            &q,
-            &db,
-            EvalOptions {
-                downward_pass: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(with, without);
     }
 
     #[test]

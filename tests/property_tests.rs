@@ -58,15 +58,6 @@ proptest! {
     }
 
     #[test]
-    fn sort_merge_equals_hash_join(r in arb_relation2(["a", "b"], 5),
-                                   s in arb_relation2(["b", "c"], 5)) {
-        prop_assert_eq!(
-            r.natural_join(&s).unwrap(),
-            r.natural_join_sort_merge(&s).unwrap()
-        );
-    }
-
-    #[test]
     fn semijoin_is_join_then_project(r in arb_relation2(["a", "b"], 5),
                                      s in arb_relation2(["b", "c"], 5)) {
         let semi = r.semijoin(&s);

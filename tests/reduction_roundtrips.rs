@@ -13,9 +13,52 @@ use pq_wtheory::weighted_sat::{
     has_weighted_circuit_sat, has_weighted_cnf_sat, weighted_formula_sat_n,
 };
 use pq_wtheory::{Circuit, Gate, ParamVariant};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// A random NNF formula over `n` variables, at most `depth` connectives deep.
+fn random_nnf(n: usize, depth: usize, rng: &mut StdRng) -> BoolFormula {
+    if depth == 0 || rng.gen_bool(0.3) {
+        return BoolFormula::Lit(rng.gen_range(0..n), rng.gen_bool(0.6));
+    }
+    let kids: Vec<BoolFormula> = (0..rng.gen_range(2..4))
+        .map(|_| random_nnf(n, depth - 1, rng))
+        .collect();
+    if rng.gen_bool(0.5) {
+        BoolFormula::And(kids)
+    } else {
+        BoolFormula::Or(kids)
+    }
+}
+
+/// A random monotone circuit on `n` inputs: two to four AND/OR gates, each
+/// over two or three distinct earlier gates; the last gate is the output.
+fn random_monotone_circuit(n: usize, rng: &mut StdRng) -> Circuit {
+    let mut gates: Vec<Gate> = (0..n).map(Gate::Input).collect();
+    for _ in 0..rng.gen_range(2..5) {
+        let width = rng.gen_range(2..4).min(gates.len());
+        let mut ops = Vec::new();
+        while ops.len() < width {
+            let o = rng.gen_range(0..gates.len());
+            if !ops.contains(&o) {
+                ops.push(o);
+            }
+        }
+        if rng.gen_bool(0.5) {
+            gates.push(Gate::And(ops));
+        } else {
+            gates.push(Gate::Or(ops));
+        }
+    }
+    let out = gates.len() - 1;
+    Circuit::new(n, gates, out)
+}
 
 /// R1 ∘ R2 ∘ R10: clique → CQ → weighted 2-CNF → conflict-graph clique.
-/// The full circle must preserve the answer.
+/// The full circle must preserve the answer. Then the E2 batteries: R1 on
+/// 60 `G(8, .45)` instances at k = 2..4, R2 on 40 `G(6, .45)` instances at
+/// k = 2..3 (its ground truth enumerates weight-k assignments, so it stays
+/// small: the exhaustive solver *is* the n^k phenomenon).
 #[test]
 fn w1_completeness_circle() {
     for seed in 0..8 {
@@ -38,6 +81,27 @@ fn w1_completeness_circle() {
             assert_eq!(back.has_clique(inst.k), truth, "R10 seed {seed} k {k}");
         }
     }
+    for seed in 0..20 {
+        let g = random_graph(8, 0.45, seed);
+        for k in 2..=4 {
+            let (db, q) = clique_to_cq::reduce(&g, k);
+            assert_eq!(
+                naive::is_nonempty(&q, &db).unwrap(),
+                g.has_clique(k),
+                "R1 G(8, .45) seed {seed} k {k}"
+            );
+        }
+        let g = random_graph(6, 0.45, seed);
+        for k in 2..=3 {
+            let (db, q) = clique_to_cq::reduce(&g, k);
+            let inst = cq_to_w2cnf::reduce(&q, &db).unwrap();
+            assert_eq!(
+                has_weighted_cnf_sat(&inst.cnf, inst.k),
+                g.has_clique(k),
+                "R2 G(6, .45) seed {seed} k {k}"
+            );
+        }
+    }
 }
 
 /// R3: the bounded-variable transformation preserves answers, and the new
@@ -55,10 +119,11 @@ fn bounded_variable_transformation() {
 }
 
 /// R5 then R6: weighted formula sat → positive query → weighted formula
-/// sat. Answers preserved at every hop.
+/// sat. Answers preserved at every hop, on two handcrafted formulas over
+/// three variables and on 12 random NNF formulas over 2–4 (the E3 battery).
 #[test]
 fn wsat_positive_roundtrip() {
-    let phis = [
+    let handcrafted = [
         BoolFormula::and([
             BoolFormula::or([BoolFormula::var(0), BoolFormula::var(1)]),
             BoolFormula::or([BoolFormula::neg(0), BoolFormula::var(2)]),
@@ -72,9 +137,14 @@ fn wsat_positive_roundtrip() {
             BoolFormula::and([BoolFormula::neg(0), BoolFormula::var(1)]),
         ]),
     ];
-    for phi in &phis {
-        let n = 3;
-        for k in 1..=2 {
+    let mut rng = StdRng::seed_from_u64(3);
+    let random = (0..12).map(|_| {
+        let n = rng.gen_range(2..5usize);
+        (random_nnf(n, 2, &mut rng), n)
+    });
+    for (phi, n) in handcrafted.into_iter().map(|phi| (phi, 3)).chain(random) {
+        let phi = &phi;
+        for k in 1..=2.min(n) {
             let truth = weighted_formula_sat_n(phi, n, k).is_some();
             let inst5 = wformula_positive::wformula_to_positive(phi, n, k).expect("n covers φ");
             assert_eq!(
@@ -122,7 +192,8 @@ fn positive_query_to_single_clique_instance() {
 }
 
 /// R7: monotone circuits, both the W[P] view (any depth) and the W[t] view
-/// (the alternating depth is recorded in the instance).
+/// (the alternating depth is recorded in the instance). Then the E4
+/// battery: 8 random monotone circuits on 2–3 inputs, every weight k.
 #[test]
 fn circuit_to_fo_depth_bookkeeping() {
     // Depth-4 alternating circuit: OR(AND(OR(AND(x0,x1), x2), x3), x4).
@@ -152,12 +223,27 @@ fn circuit_to_fo_depth_bookkeeping() {
         // v = k + 2, the paper's count.
         assert_eq!(inst.query.num_variables(), k + 2);
     }
+    let mut rng = StdRng::seed_from_u64(8);
+    for i in 0..8 {
+        let n = rng.gen_range(2..4usize);
+        let c = random_monotone_circuit(n, &mut rng);
+        for k in 1..=n {
+            let inst = circuit_to_fo::reduce(&c, k).expect("monotone");
+            assert_eq!(
+                fo_eval::query_holds(&inst.query, &inst.database).unwrap(),
+                has_weighted_circuit_sat(&c, k),
+                "circuit {i} k={k}"
+            );
+            assert_eq!(inst.query.num_variables(), k + 2);
+        }
+    }
 }
 
-/// R8: Hamiltonian path ↔ acyclic ≠-query, against the DP solver.
+/// R8: Hamiltonian path ↔ acyclic ≠-query, against the DP solver: four
+/// handcrafted graphs with known answers, then `G(6, .4)` at seeds 50..56.
 #[test]
 fn hamiltonian_reduction_battery() {
-    let cases: Vec<(Graph, bool)> = vec![
+    let handcrafted: Vec<(Graph, bool)> = vec![
         (Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), true),
         (
             Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
@@ -166,24 +252,37 @@ fn hamiltonian_reduction_battery() {
         (Graph::from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), true),
         (Graph::new(3), false),
     ];
-    for (g, expected) in cases {
+    for (g, expected) in handcrafted {
         assert_eq!(g.has_hamiltonian_path(), expected);
         let (db, q) = hampath_to_neq::reduce(&g);
         assert_eq!(naive::is_nonempty(&q, &db).unwrap(), expected);
     }
+    for seed in 50..56 {
+        let g = random_graph(6, 0.4, seed);
+        let (db, q) = hampath_to_neq::reduce(&g);
+        assert_eq!(
+            naive::is_nonempty(&q, &db).unwrap(),
+            g.has_hamiltonian_path(),
+            "G(6, .4) seed {seed}"
+        );
+    }
 }
 
 /// R9: the Theorem 3 arithmetic on a graph where the k-clique exists and
-/// one where it does not, plus the acyclicity claims.
+/// one where it does not, then the E7 battery (`G(5, .4)` at seeds 7..13,
+/// k = 2, 3), each with the acyclicity claims.
 #[test]
 fn comparison_reduction_structure() {
     let yes = Graph::from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]);
     let no = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
-    for (g, expected) in [(yes, true), (no, false)] {
-        let (db, q) = clique_to_comparisons::reduce(&g, 3);
+    assert!(yes.has_clique(3) && !no.has_clique(3));
+    let handcrafted = [(yes, 3), (no, 3)];
+    let random = (7..13).flat_map(|seed| [2, 3].map(|k| (random_graph(5, 0.4, seed), k)));
+    for (g, k) in handcrafted.into_iter().chain(random) {
+        let (db, q) = clique_to_comparisons::reduce(&g, k);
         assert!(q.is_acyclic());
         assert!(pq_engine::comparisons::is_acyclic_with_comparisons(&q).unwrap());
-        assert_eq!(naive::is_nonempty(&q, &db).unwrap(), expected);
+        assert_eq!(naive::is_nonempty(&q, &db).unwrap(), g.has_clique(k));
     }
 }
 
