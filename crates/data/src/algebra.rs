@@ -115,17 +115,17 @@ impl Relation {
     }
 
     /// ρ: rename attributes via a (old → new) mapping; names absent from the
-    /// map are kept.
+    /// map are kept. The result shares this relation's rows
+    /// ([`Relation::with_attrs`]), so ρ costs O(arity).
     ///
     /// # Errors
     /// When the renaming introduces a duplicate attribute.
     pub fn rename(&self, mapping: &HashMap<String, String>) -> Result<Relation> {
-        let attrs: Vec<String> = self
-            .attrs()
-            .iter()
-            .map(|a| mapping.get(a).cloned().unwrap_or_else(|| a.clone()))
-            .collect();
-        Relation::with_tuples(attrs, self.iter().cloned())
+        self.with_attrs(
+            self.attrs()
+                .iter()
+                .map(|a| mapping.get(a).unwrap_or(a).clone()),
+        )
     }
 
     /// Natural join ⋈ via hash join. Shared attribute names are the join key;
@@ -315,6 +315,24 @@ mod tests {
     fn rename_detects_collisions() {
         let e = edges();
         let bad = HashMap::from([("x".into(), "y".into())]);
-        assert!(e.rename(&bad).is_err());
+        assert_eq!(
+            e.rename(&bad).unwrap_err(),
+            DataError::DuplicateAttribute("y".into())
+        );
+    }
+
+    #[test]
+    fn rename_shares_rows_until_a_write() {
+        let e = edges();
+        let mut r = e
+            .rename(&HashMap::from([("x".into(), "u".into())]))
+            .unwrap();
+        assert_eq!(r.attrs(), ["u", "y"]);
+        assert!(r.shares_rows_with(&e));
+        assert_eq!(r.tuples(), e.tuples());
+        assert!(r.insert(tuple![7, 8]).unwrap());
+        assert!(!r.shares_rows_with(&e));
+        assert_eq!(e, edges());
+        assert_eq!(r.len(), 4);
     }
 }

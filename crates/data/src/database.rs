@@ -179,16 +179,16 @@ impl Database {
             return Err(DataError::UnknownRelation(name.to_string()));
         };
         let mut removed = Vec::new();
-        {
-            let mut gone = std::collections::HashSet::new();
-            for t in rows {
-                if rel.contains(t) && gone.insert(t.clone()) {
-                    removed.push(t.clone());
-                }
+        let mut gone = std::collections::HashSet::new();
+        for t in rows {
+            if rel.contains(t) && gone.insert(t.clone()) {
+                removed.push(t.clone());
             }
-            rel.retain(|t| !gone.contains(t));
         }
+        // A batch of absent rows changes nothing, so it must not unshare rows
+        // that a snapshot still reads.
         if !removed.is_empty() {
+            rel.retain(|t| !gone.contains(t));
             self.touch(name);
         }
         Ok(removed)
@@ -279,6 +279,24 @@ mod tests {
             d.relation("Z"),
             Err(DataError::UnknownRelation(_))
         ));
+    }
+
+    #[test]
+    fn no_op_row_batches_keep_rows_shared() {
+        let mut d = db();
+        let before = d.relation("E").unwrap().clone();
+        assert!(d
+            .insert_rows("E", [tuple![1, 2], tuple![2, 3]])
+            .unwrap()
+            .is_empty());
+        assert!(d
+            .delete_rows("E", &[tuple![9, 9], tuple![1, 9]])
+            .unwrap()
+            .is_empty());
+        assert!(d.relation("E").unwrap().shares_rows_with(&before));
+        assert_eq!(d.delete_rows("E", &[tuple![1, 2]]).unwrap().len(), 1);
+        assert!(!d.relation("E").unwrap().shares_rows_with(&before));
+        assert_eq!(before.len(), 2);
     }
 
     #[test]

@@ -24,6 +24,12 @@ const ENGINE: &str = "yannakakis";
 /// The selection enforces (i) the atom's constants and (ii) equalities
 /// between positions holding the same variable; the projection keeps one
 /// column per variable, named by the variable.
+///
+/// When the atom's terms are distinct variables, σ is the identity and π a
+/// renaming, so `S_j` is `R_{i_j}` under the variables' names: it shares
+/// the database's rows ([`Relation::with_attrs`]) instead of copying them.
+/// Either way the scan ticks once per source tuple and charges once per
+/// tuple kept.
 pub fn atom_relation(atom: &Atom, db: &Database) -> Result<Relation> {
     atom_relation_governed(atom, db, &ExecutionContext::unlimited())
 }
@@ -46,6 +52,16 @@ pub fn atom_relation_governed(
     }
     let vars = atom.variables();
     ctx.note_atom();
+    if vars.len() == atom.arity() {
+        // Distinct variables: share `r`'s rows. The scan still ticks and
+        // charges per row, as below, so counted work and the points where a
+        // budget or an injected fault trips do not depend on the path.
+        for _ in r.iter() {
+            ctx.tick(ENGINE)?;
+            ctx.charge_tuples(ENGINE, 1)?;
+        }
+        return Ok(r.with_attrs(vars)?);
+    }
     let mut out = Relation::new(vars.iter().map(|v| v.to_string()))?;
     'tuples: for t in r.iter() {
         ctx.tick(ENGINE)?;
@@ -371,6 +387,33 @@ mod tests {
         let out = evaluate(&q, &db).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.contains(&tuple![7]));
+    }
+
+    #[test]
+    fn distinct_variable_atom_reads_the_relation_in_place() {
+        let mut db = chain_db();
+        db.add_table("Q", ["a", "b"], [tuple![1, 1], tuple![1, 2], tuple![3, 3]])
+            .unwrap();
+        let r = db.relation("Q").unwrap();
+        let ctx = ExecutionContext::new();
+        let s = atom_relation_governed(&pq_query::atom!("Q"; var "x", var "y"), &db, &ctx).unwrap();
+        assert_eq!(s, r.with_attrs(["x", "y"]).unwrap());
+        assert!(std::ptr::eq(s.tuples().as_ptr(), r.tuples().as_ptr()));
+        assert_eq!((ctx.ticks(), ctx.tuples_materialized()), (3, 3));
+
+        // A repeated variable or a constant still selects, row by row.
+        let ctx = ExecutionContext::new();
+        let diag =
+            atom_relation_governed(&pq_query::atom!("Q"; var "x", var "x"), &db, &ctx).unwrap();
+        assert_eq!(diag.attrs(), ["x"]);
+        assert_eq!(diag.canonical_rows(), [tuple![1], tuple![3]]);
+        assert_eq!((ctx.ticks(), ctx.tuples_materialized()), (3, 2));
+        let ctx = ExecutionContext::new();
+        let fixed =
+            atom_relation_governed(&pq_query::atom!("Q"; val 1, var "y"), &db, &ctx).unwrap();
+        assert_eq!(fixed.attrs(), ["y"]);
+        assert_eq!(fixed.canonical_rows(), [tuple![1], tuple![2]]);
+        assert_eq!((ctx.ticks(), ctx.tuples_materialized()), (3, 2));
     }
 
     #[test]

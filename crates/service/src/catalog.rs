@@ -5,7 +5,10 @@
 //! evaluates entirely outside the catalog lock, so a long-running query
 //! never blocks loads or mutations. Mutations go through
 //! [`Catalog::update`], which clones-on-write (`Arc::make_mut`) only when a
-//! snapshot is still alive.
+//! snapshot is still alive. Relations share their rows
+//! ([`pq_data::Relation`]), so that clone copies the relation headers only;
+//! the write then copies the rows of just the relation it changes, and a
+//! write that changes nothing copies none.
 //!
 //! Cache identity is the pair of counters:
 //!

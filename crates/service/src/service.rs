@@ -1973,6 +1973,25 @@ mod tests {
         assert_eq!(r.cache, CacheOutcome::ResultHit);
     }
 
+    /// Relations share their rows with snapshots and with the `S_j` of a
+    /// distinct-variable atom; a write must still leave both untouched.
+    #[test]
+    fn a_write_leaves_an_earlier_snapshot_and_answer_unchanged() {
+        let svc = service();
+        let src = "G(x, y) :- R(x, y).";
+        let old_rows = [tuple![1, 2], tuple![2, 3]];
+        let snap = svc.snapshot("d").unwrap();
+        let before = svc.query("d", src, RequestLimits::default()).unwrap();
+        assert_eq!(before.rows.canonical_rows(), old_rows);
+        svc.insert_rows("d", "R", vec![tuple![7, 8]]).unwrap();
+        assert_eq!(snap.db.relation("R").unwrap().canonical_rows(), old_rows);
+        assert_eq!(before.rows.canonical_rows(), old_rows);
+        let after = svc.query("d", src, RequestLimits::default()).unwrap();
+        assert_ne!(after.cache, CacheOutcome::ResultHit, "stale epoch served");
+        assert!(after.rows.contains(&tuple![7, 8]));
+        assert_eq!(after.rows.len(), 3);
+    }
+
     #[test]
     fn mutation_invalidates_the_result_cache() {
         let svc = service();
