@@ -28,6 +28,8 @@
 //! query-only analysis is cacheable per query, while schema diagnostics
 //! depend on whatever database the query is aimed at right now.
 
+use std::sync::Arc;
+
 use pq_data::Database;
 use pq_engine::containment;
 use pq_query::ConjunctiveQuery;
@@ -124,8 +126,10 @@ pub struct Analysis {
     /// skipped entirely.
     pub empty: Option<EmptyReason>,
     /// Structural report for the query the planner should execute (the
-    /// minimized core when one exists, else the input).
-    pub report: StructureReport,
+    /// minimized core when one exists, else the input). Shared, not
+    /// copied: a plan and the service's `EXPLAIN`/`ANALYZE` reports hold
+    /// this same value.
+    pub report: Arc<StructureReport>,
     /// The `PQA803` equivalence-class key: the full canonical text of the
     /// minimized core. Present only when the containment pass ran (views
     /// were registered). Equal keys ⇒ alpha-equivalent queries — safe to
@@ -550,7 +554,7 @@ pub fn analyze(q: &ConjunctiveQuery, opts: &AnalyzeOptions) -> Analysis {
         diagnostics,
         rewritten,
         empty,
-        report,
+        report: Arc::new(report),
         semantic_key,
         view_match,
     }
@@ -645,6 +649,33 @@ mod tests {
         let a = analyze(&q, &AnalyzeOptions::default());
         assert_eq!(a.empty, Some(EmptyReason::InconsistentComparisons));
         assert_eq!(a.report.cell, FigCell::InconsistentComparisons);
+
+        // The planners rely on this: the inconsistent cell always comes
+        // with the provably-empty verdict, whatever the options, because
+        // both read the same comparison analysis and minimization never
+        // rewrites a query with comparisons.
+        for src in [
+            "G :- R(x, y), x < x.",
+            "G(x) :- R(x, y), x < y, y < x.",
+            "G :- R(x, y), S(y, z), x < y, y < z, z < x.",
+            "G :- R(x, y), S(y, z), x <= y, y <= z, z < x.",
+            "G :- R(x, y), R(x, w), x <= y, y < x.",
+            "G(x) :- R(x, y), R(y, z), x < 3, 5 < x.",
+        ] {
+            let q = parse_cq(src).unwrap();
+            for minimize in [false, true] {
+                for counting in [false, true] {
+                    let opts = AnalyzeOptions {
+                        minimize,
+                        counting,
+                        ..Default::default()
+                    };
+                    let a = analyze(&q, &opts);
+                    assert_eq!(a.report.cell, FigCell::InconsistentComparisons, "{src}");
+                    assert!(a.empty.is_some(), "{src} minimize={minimize}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@ use pq_hypergraph::{cyclic_core, decompose, HypertreeDecomposition, DEFAULT_WIDT
 use pq_query::{ConjunctiveQuery, QueryMetrics};
 
 /// The cell of the paper's Fig. 1 landscape a conjunctive query falls
-/// into. Mirrors `pq_core::CqClass` one-for-one; it lives here (below the
-/// planner) so the analyzer is the single source of truth for the decision
-/// procedure.
+/// into. It lives here, below the planner, so the analyzer is the single
+/// source of truth for the decision procedure; the planner dispatches on
+/// it and `pq_core::lower_bound` maps it to its W-class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FigCell {
     /// Acyclic, no `≠`, no comparisons: polynomial combined complexity.
@@ -143,8 +143,8 @@ fn engine_hint(cell: FigCell) -> &'static str {
 
 /// Run the structural-classification pass alone (cheap: GYO + parameter
 /// counting + comparison-consistency + width-gated decomposition search, no
-/// evaluation), with the default [`DEFAULT_WIDTH_LIMIT`]. `pq_core::classify`
-/// is a thin adapter over this.
+/// evaluation), with the default [`DEFAULT_WIDTH_LIMIT`]. This is the
+/// library's classifier: where a query sits in Fig. 1, and why.
 pub fn structure_of(q: &ConjunctiveQuery) -> StructureReport {
     structure_with_width_limit(q, DEFAULT_WIDTH_LIMIT)
 }

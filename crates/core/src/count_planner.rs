@@ -8,7 +8,7 @@
 //! engine chain. A [`CountPlan`] is reusable across databases, and
 //! [`count_with_fallback`] is the governed degradation chain.
 
-use pq_analyze::{analyze, Analysis, AnalyzeOptions};
+use pq_analyze::{analyze, Analysis, AnalyzeOptions, FigCell};
 use pq_count::{CountError, CountedRelation, QueryCount};
 use pq_data::{Database, Relation, Tuple};
 use pq_engine::governor::ExecutionContext;
@@ -16,7 +16,6 @@ use pq_engine::EngineError;
 use pq_hypergraph::HypertreeDecomposition;
 use pq_query::ConjunctiveQuery;
 
-use crate::classify::{classification_of, Classification, CqClass};
 use crate::planner::{self, first_success, retryable, FallbackAttempt, Plan, PlannerOptions, Step};
 
 /// The counting strategy a [`CountPlan`] commits to.
@@ -53,8 +52,6 @@ fn count_hypertree_label(width: usize) -> &'static str {
 /// alone, so one plan serves many databases.
 #[derive(Debug, Clone)]
 pub struct CountPlan {
-    /// The classification that framed the choice.
-    pub classification: Classification,
     /// Human-readable engine name.
     pub engine: &'static str,
     /// The committed counting strategy.
@@ -87,26 +84,23 @@ pub fn plan_count(q: &ConjunctiveQuery, opts: &PlannerOptions) -> CountPlan {
             ..opts.analysis.clone()
         },
     );
-    let classification = classification_of(&analysis.report);
-    let (engine, choice) =
-        if analysis.provably_empty() || classification.class == CqClass::InconsistentComparisons {
-            ("constant (count 0)", CountChoice::ConstantEmpty)
-        } else {
-            match classification.class {
-                CqClass::AcyclicPure => ("count-yannakakis", CountChoice::Acyclic),
-                CqClass::CyclicBoundedWidth => match analysis.report.decomposition.clone() {
-                    Some(d) => (count_hypertree_label(d.width()), CountChoice::Hypertree(d)),
-                    None => ("enumerate-then-count", CountChoice::EnumerateThenCount),
-                },
-                _ => ("enumerate-then-count", CountChoice::EnumerateThenCount),
-            }
-        };
+    let (engine, choice) = if analysis.provably_empty() {
+        ("constant (count 0)", CountChoice::ConstantEmpty)
+    } else {
+        match analysis.report.cell {
+            FigCell::AcyclicPure => ("count-yannakakis", CountChoice::Acyclic),
+            FigCell::CyclicBoundedWidth => match analysis.report.decomposition.clone() {
+                Some(d) => (count_hypertree_label(d.width()), CountChoice::Hypertree(d)),
+                None => ("enumerate-then-count", CountChoice::EnumerateThenCount),
+            },
+            _ => ("enumerate-then-count", CountChoice::EnumerateThenCount),
+        }
+    };
     let constant = matches!(choice, CountChoice::ConstantEmpty);
     let parallelism = planner::recommended_parallelism(&analysis, q, constant, opts);
     let enumeration = matches!(choice, CountChoice::EnumerateThenCount)
         .then(|| Box::new(planner::plan(analysis.effective(q), opts)));
     CountPlan {
-        classification,
         engine,
         choice,
         analysis,
@@ -229,8 +223,6 @@ pub fn count(
 pub struct CountOutcome {
     /// The exact counts.
     pub count: QueryCount,
-    /// The classification that framed the chain.
-    pub classification: Classification,
     /// Attempts in order; the last entry is the one that succeeded.
     pub attempts: Vec<FallbackAttempt>,
 }
@@ -255,14 +247,12 @@ pub fn count_with_fallback(
             ..Default::default()
         },
     );
-    let classification = classification_of(&analysis.report);
-    if analysis.provably_empty() || classification.class == CqClass::InconsistentComparisons {
+    if analysis.provably_empty() {
         return Ok(CountOutcome {
             count: QueryCount {
                 distinct: 0,
                 assignments: 0,
             },
-            classification,
             attempts: vec![FallbackAttempt {
                 engine: "constant (count 0)",
                 error: None,
@@ -304,11 +294,7 @@ pub fn count_with_fallback(
         }
         Err(e) => return Err(e),
     };
-    Ok(CountOutcome {
-        count,
-        classification,
-        attempts,
-    })
+    Ok(CountOutcome { count, attempts })
 }
 
 /// The counting decision problem `COUNT(Q)(d) ≥ k` without materializing

@@ -1,15 +1,16 @@
 //! The planner: dispatch a conjunctive query to the engine the paper's
 //! classification recommends.
 
-use pq_analyze::{analyze, Analysis, AnalyzeOptions};
+use std::sync::Arc;
+
+use pq_analyze::{analyze, Analysis, AnalyzeOptions, FigCell, StructureReport};
 use pq_data::{Database, Relation, Tuple};
 use pq_engine::colorcoding::{ColorCodingOptions, HashFamily};
 use pq_engine::governor::{ExecutionContext, ResourceKind};
 use pq_engine::{colorcoding, hypertree, naive, naive_indexed, yannakakis, EngineError, Result};
 use pq_hypergraph::HypertreeDecomposition;
 use pq_query::ConjunctiveQuery;
-
-use crate::classify::{classification_of, Classification, CqClass};
+use pq_wtheory::WClass;
 
 /// Planner configuration.
 #[derive(Debug, Clone)]
@@ -80,6 +81,21 @@ pub enum EngineChoice {
     },
 }
 
+/// The known parametric lower bound for evaluating the queries of a Fig. 1
+/// cell: W\[1\] for comparisons (Theorem 3) and for cyclic queries
+/// (Theorem 1), `None` where the cell has an f.p.-tractable or polynomial
+/// engine (Yannakakis \[18\], Theorem 2, bounded hypertree width) or no
+/// work at all (inconsistent comparisons).
+pub fn lower_bound(cell: FigCell) -> Option<WClass> {
+    match cell {
+        FigCell::AcyclicComparisons | FigCell::Cyclic => Some(WClass::W(1)),
+        FigCell::AcyclicPure
+        | FigCell::AcyclicNeq
+        | FigCell::InconsistentComparisons
+        | FigCell::CyclicBoundedWidth => None,
+    }
+}
+
 /// The engine label a hypertree plan advertises; widths within the default
 /// limit are spelled out so `EXPLAIN` output names the bound.
 fn hypertree_label(width: usize) -> &'static str {
@@ -100,8 +116,11 @@ fn hypertree_label(width: usize) -> &'static str {
 /// plan-then-execute wrappers.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// The classification that drove the choice.
-    pub classification: Classification,
+    /// The structural report that drove the choice: the same `Arc` as
+    /// `analysis.report`, not a copy. It exists because the benchmark's
+    /// probes read `plan.classification`; everything else reads
+    /// `analysis.report`.
+    pub classification: Arc<StructureReport>,
     /// Human-readable engine name.
     pub engine: &'static str,
     /// The committed engine plus its plan-time options.
@@ -130,19 +149,19 @@ pub struct Plan {
 /// the minimized core — `q` and `v` drop before any engine sees them.
 pub fn plan(q: &ConjunctiveQuery, opts: &PlannerOptions) -> Plan {
     let analysis = analyze(q, &opts.analysis);
-    let classification = classification_of(&analysis.report);
+    let report = &analysis.report;
     let (engine, choice) = if analysis.provably_empty() {
-        let label = if classification.class == CqClass::InconsistentComparisons {
+        let label = if report.cell == FigCell::InconsistentComparisons {
             "constant (empty answer)"
         } else {
             "constant (provably empty)"
         };
         (label, EngineChoice::ConstantEmpty)
     } else {
-        match classification.class {
-            CqClass::AcyclicPure => ("yannakakis", EngineChoice::Yannakakis),
-            CqClass::AcyclicNeq => {
-                let k = classification.color_parameter.unwrap_or(0);
+        match report.cell {
+            FigCell::AcyclicPure => ("yannakakis", EngineChoice::Yannakakis),
+            FigCell::AcyclicNeq => {
+                let k = report.color_parameter.unwrap_or(0);
                 let cc = cc_options(k, opts);
                 let name = if k <= opts.deterministic_k_limit {
                     "colorcoding (deterministic k-perfect family)"
@@ -151,16 +170,16 @@ pub fn plan(q: &ConjunctiveQuery, opts: &PlannerOptions) -> Plan {
                 };
                 (name, EngineChoice::ColorCoding(cc))
             }
-            CqClass::InconsistentComparisons => {
+            FigCell::InconsistentComparisons => {
                 ("constant (empty answer)", EngineChoice::ConstantEmpty)
             }
-            CqClass::CyclicBoundedWidth => match analysis.report.decomposition.clone() {
+            FigCell::CyclicBoundedWidth => match report.decomposition.clone() {
                 Some(d) => (hypertree_label(d.width()), EngineChoice::Hypertree(d)),
                 // The cell implies a decomposition; degrade rather than
                 // panic if a future analyzer change breaks that link.
                 None => ("naive backtracking", EngineChoice::Naive),
             },
-            CqClass::AcyclicComparisons | CqClass::Cyclic => {
+            FigCell::AcyclicComparisons | FigCell::Cyclic => {
                 ("naive backtracking", EngineChoice::Naive)
             }
         }
@@ -183,7 +202,7 @@ pub fn plan(q: &ConjunctiveQuery, opts: &PlannerOptions) -> Plan {
         None => (engine, choice),
     };
     Plan {
-        classification,
+        classification: Arc::clone(&analysis.report),
         engine,
         choice,
         analysis,
@@ -381,8 +400,6 @@ pub struct FallbackAttempt {
 pub struct FallbackOutcome {
     /// The query answer.
     pub result: Relation,
-    /// The classification that framed the chain.
-    pub classification: Classification,
     /// Attempts in order; the last entry is the one that succeeded.
     pub attempts: Vec<FallbackAttempt>,
 }
@@ -461,8 +478,8 @@ pub fn evaluate_with_fallback(
     ctx: &ExecutionContext,
 ) -> Result<FallbackOutcome> {
     // A minimization-free analysis: cheap (no containment checks), and
-    // enough to short-circuit every provably-empty query — not just the
-    // inconsistent-comparison case the classification names.
+    // enough to short-circuit every provably-empty query, the
+    // inconsistent-comparison cell included.
     let analysis = analyze(
         q,
         &AnalyzeOptions {
@@ -470,13 +487,11 @@ pub fn evaluate_with_fallback(
             ..Default::default()
         },
     );
-    let classification = classification_of(&analysis.report);
-    if analysis.provably_empty() || classification.class == CqClass::InconsistentComparisons {
+    if analysis.provably_empty() {
         let result = Relation::new(pq_engine::binding::head_attrs(&q.head_terms))
             .map_err(EngineError::Data)?;
         return Ok(FallbackOutcome {
             result,
-            classification,
             attempts: vec![FallbackAttempt {
                 engine: "constant (empty answer)",
                 error: None,
@@ -507,11 +522,7 @@ pub fn evaluate_with_fallback(
     ];
     let mut attempts = Vec::new();
     let result = first_success(chain, retryable, &mut attempts)?;
-    Ok(FallbackOutcome {
-        result,
-        classification,
-        attempts,
-    })
+    Ok(FallbackOutcome { result, attempts })
 }
 
 /// The decision problem `t ∈ Q(d)` with the recommended engine.
@@ -589,6 +600,45 @@ mod tests {
     }
 
     #[test]
+    fn classes_cover_the_paper_landscape() {
+        use pq_analyze::structure_of;
+        let cell_and_bound = |src: &str| {
+            let r = structure_of(&parse_cq(src).unwrap());
+            (r.cell, lower_bound(r.cell))
+        };
+        assert_eq!(
+            cell_and_bound("G(x, z) :- R(x, y), S(y, z)."),
+            (FigCell::AcyclicPure, None)
+        );
+
+        let neq = parse_cq("G(e) :- EP(e, p), EP(e, p2), p != p2.").unwrap();
+        let r = structure_of(&neq);
+        assert_eq!((r.cell, lower_bound(r.cell)), (FigCell::AcyclicNeq, None));
+        assert_eq!(r.color_parameter, Some(2));
+        assert_eq!(r.v, 3);
+        assert!(r.q > 0);
+
+        assert_eq!(
+            cell_and_bound("G(e) :- EM(e, m), ES(e, s), ES(m, s2), s2 < s."),
+            (FigCell::AcyclicComparisons, Some(WClass::W(1)))
+        );
+        // A pure triangle is cyclic but width 2: the tractable cell.
+        assert_eq!(
+            cell_and_bound("G :- E(x, y), E(y, z), E(z, x)."),
+            (FigCell::CyclicBoundedWidth, None)
+        );
+        // Cyclic *and* impure stays in the hard cell.
+        assert_eq!(
+            cell_and_bound("G :- E(x, y), E(y, z), E(z, x), x != y."),
+            (FigCell::Cyclic, Some(WClass::W(1)))
+        );
+        assert_eq!(
+            cell_and_bound("G :- R(x, y), x < y, y < x."),
+            (FigCell::InconsistentComparisons, None)
+        );
+    }
+
+    #[test]
     fn stored_plans_execute_without_reclassifying() {
         let opts = PlannerOptions::default();
         let d = db();
@@ -614,6 +664,8 @@ mod tests {
             // Governed execution with no limits matches too.
             let ctx = ExecutionContext::unlimited();
             assert_eq!(p.execute_governed(&q, &d, &ctx).unwrap(), one_shot, "{src}");
+            // The plan's report is the analysis's own value, not a copy.
+            assert!(Arc::ptr_eq(&p.classification, &p.analysis.report), "{src}");
         }
     }
 
@@ -765,15 +817,27 @@ mod tests {
     fn provably_empty_queries_compile_to_constant_plans() {
         let opts = PlannerOptions::default();
         let d = db();
-        let q = parse_cq("G(x) :- R(x, y), x != x.").unwrap();
-        let p = plan(&q, &opts);
-        assert_eq!(p.choice, EngineChoice::ConstantEmpty);
-        assert_eq!(p.engine, "constant (provably empty)");
-        let out = p.execute(&q, &d).unwrap();
-        assert!(out.is_empty());
-        // The verdict is sound: naive evaluation agrees.
-        assert_eq!(out, naive::evaluate(&q, &d).unwrap());
-        assert!(!p.is_nonempty(&q, &d).unwrap());
+        // The label names the inconsistent cell; the same contradiction
+        // next to a `≠` lands in the mixed cell, where only the analyzer's
+        // verdict makes the plan constant.
+        for (src, label) in [
+            ("G(x) :- R(x, y), x != x.", "constant (provably empty)"),
+            ("G(x) :- R(x, y), x < y, y < x.", "constant (empty answer)"),
+            (
+                "G :- R(x, y), x != y, x < y, y < x.",
+                "constant (provably empty)",
+            ),
+        ] {
+            let q = parse_cq(src).unwrap();
+            let p = plan(&q, &opts);
+            assert_eq!(p.choice, EngineChoice::ConstantEmpty, "{src}");
+            assert_eq!(p.engine, label, "{src}");
+            let out = p.execute(&q, &d).unwrap();
+            assert!(out.is_empty());
+            // The verdict is sound: naive evaluation agrees.
+            assert_eq!(out, naive::evaluate(&q, &d).unwrap());
+            assert!(!p.is_nonempty(&q, &d).unwrap());
+        }
     }
 
     #[test]
@@ -941,10 +1005,10 @@ mod tests {
         // chain with three pairwise-distant inequalities → k = 4 > 2
         let q = parse_cq("G :- R(x, y), S(y, z), x != z.").unwrap();
         let p = plan(&q, &opts);
-        assert_eq!(p.classification.color_parameter, Some(2));
+        assert_eq!(p.analysis.report.color_parameter, Some(2));
         let q2 = parse_cq("G :- R(a, b), R(b, c), R(c, d), a != c, a != d, b != d.").unwrap();
         let p2 = plan(&q2, &opts);
-        assert_eq!(p2.classification.color_parameter, Some(4));
+        assert_eq!(p2.analysis.report.color_parameter, Some(4));
         assert_eq!(p2.engine, "colorcoding (randomized)");
     }
 }

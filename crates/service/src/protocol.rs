@@ -89,6 +89,7 @@
 use std::io::Write as _;
 use std::time::Duration;
 
+use pq_analyze::StructureReport;
 use pq_data::{loader, Relation, Tuple, Value};
 
 use crate::durable::SnapshotSummary;
@@ -525,24 +526,31 @@ pub fn render_load_response(s: &LoadSummary) -> Vec<String> {
     )]
 }
 
+/// The lines `EXPLAIN` and `ANALYZE` share: the color parameter, the
+/// hypertree width with its exactness, and the decomposition's shape.
+fn write_structure(lines: &mut Vec<String>, s: &StructureReport) {
+    if let Some(k) = s.color_parameter {
+        lines.push(format!("k {k}"));
+    }
+    if let Some(w) = s.hypertree_width {
+        let mark = if s.width_exact { "exact" } else { "heuristic" };
+        lines.push(format!("width {w} {mark}"));
+    }
+    if let Some(d) = &s.decomposition {
+        lines.push(format!("decomposition {}", d.shape()));
+    }
+}
+
 /// Render the response lines for `EXPLAIN`.
 pub fn render_explain_response(e: &Explanation) -> Vec<String> {
+    let s = &e.structure;
     let mut lines = vec!["OK explain".to_string()];
     lines.push(format!("fingerprint {:016x}", e.fingerprint));
     lines.push(format!("engine {}", e.engine));
-    lines.push(format!("summary {}", e.summary));
-    lines.push(format!("q {}", e.q));
-    lines.push(format!("v {}", e.v));
-    if let Some(k) = e.color_parameter {
-        lines.push(format!("k {k}"));
-    }
-    if let Some(w) = e.hypertree_width {
-        let mark = if e.width_exact { "exact" } else { "heuristic" };
-        lines.push(format!("width {w} {mark}"));
-    }
-    if let Some(d) = &e.decomposition {
-        lines.push(format!("decomposition {d}"));
-    }
+    lines.push(format!("summary {}", s.summary));
+    lines.push(format!("q {}", s.q));
+    lines.push(format!("v {}", s.v));
+    write_structure(&mut lines, s);
     lines.push(format!("plan_cached {}", e.plan_was_cached));
     lines.push(format!("result_cached {}", e.result_is_cached));
     lines.push(format!("answer_source {}", e.answer_source));
@@ -566,26 +574,18 @@ pub fn render_explain_response(e: &Explanation) -> Vec<String> {
 
 /// Render the response lines for `ANALYZE`.
 pub fn render_analyze_response(a: &AnalysisReport) -> Vec<String> {
+    let s = &a.structure;
     let mut lines = vec!["OK analyze".to_string()];
     lines.push(format!("fingerprint {:016x}", a.fingerprint));
-    lines.push(format!("cell {}", a.cell));
+    lines.push(format!("cell {}", s.cell));
     lines.push(format!("engine {}", a.engine));
-    lines.push(format!("summary {}", a.summary));
+    lines.push(format!("summary {}", s.summary));
     lines.push(format!(
         "params q={} v={} max_arity={} neqs={} cmps={}",
-        a.q, a.v, a.max_arity, a.neq_count, a.cmp_count
+        s.q, s.v, s.max_arity, s.neq_count, s.cmp_count
     ));
-    if let Some(k) = a.color_parameter {
-        lines.push(format!("k {k}"));
-    }
-    if let Some(w) = a.hypertree_width {
-        let mark = if a.width_exact { "exact" } else { "heuristic" };
-        lines.push(format!("width {w} {mark}"));
-    }
-    if let Some(d) = &a.decomposition {
-        lines.push(format!("decomposition {d}"));
-    }
-    if let Some(w) = &a.cycle_witness {
+    write_structure(&mut lines, s);
+    if let Some(w) = &s.cycle_witness {
         let atoms: Vec<String> = w.iter().map(ToString::to_string).collect();
         lines.push(format!("cycle_witness {}", atoms.join(",")));
     }
@@ -604,21 +604,22 @@ pub fn render_analyze_response(a: &AnalysisReport) -> Vec<String> {
 
 /// Render the response lines for `ANALYZE` on a Datalog program.
 pub fn render_analyze_program_response(a: &ProgramAnalysisReport) -> Vec<String> {
+    let r = &a.report;
     let mut lines = vec!["OK analyze-program".to_string()];
     lines.push(format!("goal {}", a.goal));
     lines.push(format!(
         "rules live={} total={}",
-        a.rules_live, a.rules_total
+        r.rules_live, r.rules_total
     ));
-    if !a.dead_rules.is_empty() {
-        let idx: Vec<String> = a.dead_rules.iter().map(ToString::to_string).collect();
+    if !r.dead_rules.is_empty() {
+        let idx: Vec<String> = r.dead_rules.iter().map(ToString::to_string).collect();
         lines.push(format!("dead_rules {}", idx.join(",")));
     }
-    lines.push(format!("edb {}", a.edb.join(",")));
-    lines.push(format!("idb {}", a.idb.join(",")));
-    lines.push(format!("sccs {}", a.scc_count));
-    lines.push(format!("recursion {}", a.recursion));
-    lines.push(format!("max_arity {}", a.max_arity));
+    lines.push(format!("edb {}", r.edb.join(",")));
+    lines.push(format!("idb {}", r.idb.join(",")));
+    lines.push(format!("sccs {}", r.sccs.len()));
+    lines.push(format!("recursion {}", r.recursion));
+    lines.push(format!("max_arity {}", r.max_arity));
     lines.push(format!("provably_empty {}", a.provably_empty));
     if let Some(r) = &a.rewritten {
         lines.push(format!("rewritten {r}"));

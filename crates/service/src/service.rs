@@ -92,8 +92,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use pq_analyze::Analysis;
-use pq_core::hypergraph::HypertreeDecomposition;
+use pq_analyze::{Analysis, ProgramReport, StructureReport};
 use pq_core::{
     count_relation, plan, plan_count, view_scan, CountChoice, CountPlan, EngineChoice, Plan,
     PlannerOptions,
@@ -268,31 +267,20 @@ pub struct LoadSummary {
     pub epoch: u64,
 }
 
-/// What [`QueryService::explain`] reports (the wire `EXPLAIN` body).
+/// What [`QueryService::explain`] reports (the wire `EXPLAIN` body): the
+/// analyzer's structural report of the planned query, shared with the
+/// plan, plus what the service adds: engine, cache state, answer source,
+/// view match and equivalence class.
 #[derive(Debug, Clone)]
-#[allow(clippy::struct_excessive_bools)] // wire fields, not a state machine
 pub struct Explanation {
     /// Structural fingerprint of the query.
     pub fingerprint: u64,
     /// Engine the plan commits to.
     pub engine: &'static str,
-    /// Classification one-liner.
-    pub summary: &'static str,
-    /// Query-size parameter `q`.
-    pub q: usize,
-    /// Variable-count parameter `v`.
-    pub v: usize,
-    /// Color parameter `k` when `≠` atoms exist.
-    pub color_parameter: Option<usize>,
-    /// Hypertree width of the (effective) query: `Some(1)` for acyclic
-    /// queries, the decomposition width for cyclic ones, `None` when no
-    /// width was established.
-    pub hypertree_width: Option<usize>,
-    /// Is the reported width exact (vs. a heuristic upper bound)?
-    pub width_exact: bool,
-    /// Decomposition shape (`bags=… depth=… width=…`) when the analyzer
-    /// attached one — what the hypertree engine would sweep.
-    pub decomposition: Option<String>,
+    /// The structural report of the (effective) query the plan was built
+    /// from — the plan's own value, not a copy: Fig. 1 cell and summary,
+    /// `q`, `v`, `k`, hypertree width and decomposition.
+    pub structure: Arc<StructureReport>,
     /// Was the plan already cached before this call?
     pub plan_was_cached: bool,
     /// Is the answer against the named database currently cached?
@@ -339,30 +327,10 @@ pub struct AnalysisReport {
     /// Engine the plan commits to (for unplannable queries, the analyzer's
     /// engine hint).
     pub engine: &'static str,
-    /// Classification one-liner.
-    pub summary: &'static str,
-    /// Fig. 1 cell name (`acyclic-pure`, `acyclic-neq`, …).
-    pub cell: &'static str,
-    /// Query-size parameter `q` (of the minimized core when one exists).
-    pub q: usize,
-    /// Variable-count parameter `v`.
-    pub v: usize,
-    /// Largest relational-atom arity.
-    pub max_arity: usize,
-    /// Number of `≠` atoms.
-    pub neq_count: usize,
-    /// Number of comparison atoms.
-    pub cmp_count: usize,
-    /// Color parameter `k` when `≠` atoms exist.
-    pub color_parameter: Option<usize>,
-    /// Hypertree width of the (effective) query, when established.
-    pub hypertree_width: Option<usize>,
-    /// Is the reported width exact (vs. a heuristic upper bound)?
-    pub width_exact: bool,
-    /// Decomposition shape (`bags=… depth=… width=…`) when one exists.
-    pub decomposition: Option<String>,
-    /// When cyclic: the GYO-irreducible atom indices (the cycle witness).
-    pub cycle_witness: Option<Vec<usize>>,
+    /// The structural report of the query (of the minimized core when one
+    /// exists): the plan's own value for valid queries, the one fresh
+    /// analysis's for queries that fail validation.
+    pub structure: Arc<StructureReport>,
     /// Is the query provably empty on every database?
     pub provably_empty: bool,
     /// Display form of the minimized core, when minimization helped.
@@ -386,22 +354,9 @@ pub struct AnalysisReport {
 pub struct ProgramAnalysisReport {
     /// The goal relation.
     pub goal: String,
-    /// Rules in the submitted program.
-    pub rules_total: usize,
-    /// Rules that survive dead-rule pruning.
-    pub rules_live: usize,
-    /// Indices (program order) of the pruned rules.
-    pub dead_rules: Vec<usize>,
-    /// EDB relations, sorted.
-    pub edb: Vec<String>,
-    /// IDB relations, sorted.
-    pub idb: Vec<String>,
-    /// SCC count of the live program's IDB dependency graph.
-    pub scc_count: usize,
-    /// Overall recursion class (`nonrecursive` / `linear` / `nonlinear`).
-    pub recursion: &'static str,
-    /// Maximum atom arity over the live, minimized rules.
-    pub max_arity: usize,
+    /// The analyzer's structural report of the program: rule counts, dead
+    /// rules, EDB/IDB relations, SCCs, recursion class, maximum arity.
+    pub report: ProgramReport,
     /// Is the goal provably empty on every database (underivable)?
     pub provably_empty: bool,
     /// One-line display form of the rewritten program, when the analysis
@@ -1350,17 +1305,10 @@ impl QueryService {
                 .map(|(_, m)| m.view)
         };
         let a = prepared.analysis();
-        let r = &a.report;
         Ok(Explanation {
             fingerprint: prepared.fingerprint,
             engine: prepared.engine,
-            summary: r.summary,
-            q: r.q,
-            v: r.v,
-            color_parameter: r.color_parameter,
-            hypertree_width: r.hypertree_width,
-            width_exact: r.width_exact,
-            decomposition: r.decomposition.as_ref().map(HypertreeDecomposition::shape),
+            structure: Arc::clone(&a.report),
             plan_was_cached,
             result_is_cached,
             answer_source: if result_is_cached {
@@ -1425,22 +1373,10 @@ impl QueryService {
                 }
                 Err(rejected) => return Err(rejected.into()),
             };
-        let r = &analysis.report;
         Ok(AnalysisReport {
             fingerprint,
             engine,
-            summary: r.summary,
-            cell: r.cell.as_str(),
-            q: r.q,
-            v: r.v,
-            max_arity: r.max_arity,
-            neq_count: r.neq_count,
-            cmp_count: r.cmp_count,
-            color_parameter: r.color_parameter,
-            hypertree_width: r.hypertree_width,
-            width_exact: r.width_exact,
-            decomposition: r.decomposition.as_ref().map(HypertreeDecomposition::shape),
-            cycle_witness: r.cycle_witness.clone(),
+            structure: Arc::clone(&analysis.report),
             provably_empty: analysis.provably_empty(),
             minimized: analysis.rewritten.as_ref().map(ToString::to_string),
             diagnostics,
@@ -1467,23 +1403,15 @@ impl QueryService {
         let program = pq_query::parse_datalog(src)?;
         let a =
             pq_analyze::analyze_program_with_db(&program, &snap.db, &self.config.planner.analysis);
-        let r = &a.report;
         Ok(ProgramAnalysisReport {
-            goal: program.goal.clone(),
-            rules_total: r.rules_total,
-            rules_live: r.rules_live,
-            dead_rules: r.dead_rules.clone(),
-            edb: r.edb.clone(),
-            idb: r.idb.clone(),
-            scc_count: r.sccs.len(),
-            recursion: r.recursion.as_str(),
-            max_arity: r.max_arity,
+            goal: program.goal,
             provably_empty: a.provably_empty(),
             rewritten: a.rewritten.as_ref().map(|p| {
                 let rules: Vec<String> = p.rules.iter().map(ToString::to_string).collect();
                 format!("{} ?- {}", rules.join(" "), p.goal)
             }),
             diagnostics: a.diagnostics.iter().map(ToString::to_string).collect(),
+            report: a.report,
             generation: snap.generation,
             epoch: snap.epoch,
         })
@@ -1896,6 +1824,7 @@ impl Drop for QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pq_analyze::{FigCell, RecursionClass};
     use pq_data::{tuple, DataError};
     use pq_engine::EngineError;
 
@@ -2067,7 +1996,7 @@ mod tests {
         assert!(!e1.plan_was_cached);
         assert!(!e1.result_is_cached);
         assert!(e1.engine.starts_with("colorcoding"));
-        assert_eq!(e1.color_parameter, Some(2));
+        assert_eq!(e1.structure.color_parameter, Some(2));
         svc.query("d", src, RequestLimits::default()).unwrap();
         let e2 = svc.explain("d", src).unwrap();
         assert!(e2.plan_was_cached);
@@ -2099,13 +2028,13 @@ mod tests {
         let src = "G :- E(x, y), E(y, z), E(z, x).";
         let e = svc.explain("tri", src).unwrap();
         assert!(e.engine.starts_with("hypertree"), "{}", e.engine);
-        assert_eq!(e.hypertree_width, Some(2));
-        assert!(e.width_exact);
-        assert!(e.decomposition.is_some());
+        assert_eq!(e.structure.hypertree_width, Some(2));
+        assert!(e.structure.width_exact);
+        assert!(e.structure.decomposition.is_some());
         let a = svc.analyze("tri", src).unwrap();
-        assert_eq!(a.cell, "cyclic-bounded-width");
-        assert_eq!(a.hypertree_width, Some(2));
-        assert!(a.width_exact);
+        assert_eq!(a.structure.cell, FigCell::CyclicBoundedWidth);
+        // Both reports hold the cached plan's one structural report.
+        assert!(Arc::ptr_eq(&a.structure, &e.structure));
         assert!(a.diagnostics.iter().any(|d| d.starts_with("PQA601")));
         // Acyclic queries don't touch the hypertree counters...
         svc.query("d", "G(x) :- R(x, y).", RequestLimits::default())
@@ -2125,7 +2054,7 @@ mod tests {
         let src = "G(x, c) :- R(x, y), S(y, c), R(x, y2).";
         let a1 = svc.analyze("d", src).unwrap();
         assert!(!a1.plan_was_cached);
-        assert_eq!(a1.cell, "acyclic-pure");
+        assert_eq!(a1.structure.cell, FigCell::AcyclicPure);
         let minimized = a1.minimized.as_deref().expect("redundant atom drops");
         assert!(!minimized.contains("y2"), "{minimized}");
         assert!(a1.diagnostics.iter().any(|d| d.starts_with("PQA301")));
@@ -2164,10 +2093,11 @@ mod tests {
                    ?- T";
         let a = svc.analyze_datalog("d", src).unwrap();
         assert_eq!(a.goal, "T");
-        assert_eq!((a.rules_total, a.rules_live), (3, 2));
-        assert_eq!(a.dead_rules, vec![2]);
-        assert_eq!(a.edb, vec!["R".to_string()]);
-        assert_eq!(a.recursion, "linear");
+        let r = &a.report;
+        assert_eq!((r.rules_total, r.rules_live), (3, 2));
+        assert_eq!(r.dead_rules, vec![2]);
+        assert_eq!(r.edb, vec!["R".to_string()]);
+        assert_eq!(r.recursion, RecursionClass::Linear);
         assert!(!a.provably_empty);
         let rewritten = a.rewritten.as_deref().expect("dead rule pruned");
         assert!(!rewritten.contains("U("), "{rewritten}");

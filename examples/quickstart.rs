@@ -1,9 +1,9 @@
 //! Quickstart: build a database, parse queries in rule notation, let the
-//! planner classify them per the paper and pick the right engine.
+//! planner place them in the paper's landscape and pick the right engine.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use pq_core::{classify, evaluate, plan, PlannerOptions};
+use pq_core::{evaluate, plan, PlannerOptions};
 use pq_data::{tuple, Database};
 use pq_query::parse_cq;
 
@@ -48,11 +48,12 @@ fn main() {
 
     for src in queries {
         let q = parse_cq(src).unwrap();
-        let c = classify(&q);
         let p = plan(&q, &opts);
+        // The analyzer's structural report the plan was built from.
+        let r = &p.analysis.report;
         println!("query    : {q}");
-        println!("class    : {:?}  (q = {}, v = {})", c.class, c.q, c.v);
-        println!("verdict  : {}", c.summary);
+        println!("class    : {:?}  (q = {}, v = {})", r.cell, r.q, r.v);
+        println!("verdict  : {}", r.summary);
         println!("engine   : {}", p.engine);
         let answer = evaluate(&q, &db, &opts).unwrap();
         println!("answer   : {} tuple(s)", answer.len());

@@ -6,7 +6,8 @@
 //!
 //! Run with: `cargo run --release --example salary_comparisons`
 
-use pq_core::{classify, evaluate, PlannerOptions};
+use pq_core::analyze::structure_of;
+use pq_core::{evaluate, PlannerOptions};
 use pq_data::{tuple, Database};
 use pq_engine::comparisons;
 use pq_query::parse_cq;
@@ -39,10 +40,10 @@ fn main() {
     .unwrap();
 
     let q = parse_cq("G(e) :- EM(e, m), ES(e, s), ES(m, s2), s2 < s.").unwrap();
-    let c = classify(&q);
+    let r = structure_of(&q);
     println!("query : {q}");
-    println!("class : {:?}", c.class);
-    println!("note  : {}", c.summary);
+    println!("class : {:?}", r.cell);
+    println!("note  : {}", r.summary);
     let ans = evaluate(&q, &db, &PlannerOptions::default()).unwrap();
     println!(
         "answer: {:?}\n",

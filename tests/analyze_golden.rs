@@ -4,8 +4,12 @@
 //! does and diff against `tests/corpus/golden.txt` /
 //! `tests/corpus/golden_programs.txt`.
 //!
-//! CI runs the same checks through the example binary; this test catches
-//! drift locally in a plain `cargo test`. To regenerate after an
+//! A second gate pins the service's wire bytes: every corpus row through
+//! `EXPLAIN` and `ANALYZE`, and every program through `ANALYZE`, against one
+//! loaded database, diffed against `tests/corpus/golden_wire.txt`.
+//!
+//! CI runs the analyzer checks through the example binary; this test
+//! catches drift locally in a plain `cargo test`. To regenerate after an
 //! intentional analyzer change:
 //!
 //! ```text
@@ -193,4 +197,94 @@ fn corpus_exercises_every_database_free_lint_code() {
     ] {
         assert!(rendered.contains(code), "corpus never triggers {code}");
     }
+}
+
+// ------------------------------------------------------- wire golden --
+
+/// The database every wire-golden row runs against: the relations the
+/// corpus names, binary, so the schema pass flags only the corpus's own
+/// arity clash.
+const WIRE_DB: &str = "E(a, b):\n  1, 2\n  2, 3\n  3, 1\n  1, 1\nF(a, b):\n  2, 5\n  3, 6\n\
+                       H(a, b):\n  1, 2\nV(a, b):\n  1, 3\n";
+
+/// `Ok` renders through `render`, an error as one `error: …` line.
+fn wire_lines<T>(
+    out: &mut String,
+    r: pq_service::Result<T>,
+    render: impl FnOnce(&T) -> Vec<String>,
+) {
+    let lines = match r {
+        Ok(v) => render(&v),
+        Err(e) => vec![format!("error: {e}")],
+    };
+    for line in lines {
+        out.push_str(&line);
+        out.push('\n');
+    }
+}
+
+/// Every corpus row through `EXPLAIN` then `ANALYZE`, and every program
+/// through `ANALYZE`, rendered exactly as the server writes them, on one
+/// service so the plan-cache lines follow the row order. `@count ` rows
+/// are explained and analyzed as the plain query; `@view` rows run
+/// against a copy of the database that has the view registered as a
+/// subscription.
+fn render_wire_corpus(queries: &str, programs: &str) -> String {
+    use pq_service::protocol::{
+        render_analyze_program_response, render_analyze_response, render_explain_response,
+    };
+    let svc = pq_service::QueryService::with_defaults();
+    svc.load_str("d", WIRE_DB).unwrap();
+    let mut subscriptions = Vec::new();
+    let mut out = String::new();
+    for (i, line) in queries.lines().enumerate() {
+        let row = line.trim();
+        if row.is_empty() || row.starts_with('#') {
+            continue;
+        }
+        if !out.is_empty() {
+            out.push('\n');
+        }
+        out.push_str(&format!("## {row}\n"));
+        let (db, src) = if let Some(rest) = row.strip_prefix("@view ") {
+            let (view_src, q_src) = rest.split_once('|').expect("`@view` rows have a `|`");
+            let db = format!("view{i}");
+            svc.load_str(&db, WIRE_DB).unwrap();
+            match svc.subscribe(&db, view_src.trim()) {
+                Ok(sub) => subscriptions.push(sub),
+                Err(e) => out.push_str(&format!("error: {e}\n")),
+            }
+            (db, q_src.trim())
+        } else {
+            (
+                "d".to_string(),
+                row.strip_prefix("@count ").unwrap_or(row).trim(),
+            )
+        };
+        wire_lines(&mut out, svc.explain(&db, src), render_explain_response);
+        wire_lines(&mut out, svc.analyze(&db, src), render_analyze_response);
+    }
+    for src in program_blocks(programs) {
+        out.push_str(&format!("\n## {src}\n"));
+        wire_lines(
+            &mut out,
+            svc.analyze_datalog("d", &src),
+            render_analyze_program_response,
+        );
+    }
+    drop(subscriptions);
+    out
+}
+
+/// The `EXPLAIN`/`ANALYZE` wire bytes of the whole corpus, pinned. To
+/// regenerate after an intentional wire change, write the output of
+/// `render_wire_corpus` to `tests/corpus/golden_wire.txt`.
+#[test]
+fn corpus_wire_responses_match_the_golden_file() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let queries = std::fs::read_to_string(format!("{root}/tests/corpus/queries.cq")).unwrap();
+    let programs = std::fs::read_to_string(format!("{root}/tests/corpus/programs.dl")).unwrap();
+    let rendered = render_wire_corpus(&queries, &programs);
+    let golden = std::fs::read_to_string(format!("{root}/tests/corpus/golden_wire.txt")).unwrap();
+    assert_matches_golden(&rendered, &golden, "golden_wire.txt");
 }

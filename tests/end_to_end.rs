@@ -1,8 +1,9 @@
-//! Integration tests spanning all crates: parse → classify → plan →
+//! Integration tests spanning all crates: parse → analyze → plan →
 //! evaluate, with every engine cross-checked against the naive oracle on a
 //! shared workload battery.
 
-use pq_core::{classify, evaluate, is_nonempty, plan, CqClass, PlannerOptions};
+use pq_core::analyze::{structure_of, FigCell};
+use pq_core::{evaluate, is_nonempty, lower_bound, plan, PlannerOptions};
 use pq_data::{tuple, Database};
 use pq_engine::colorcoding::{self, ColorCodingOptions};
 use pq_engine::{naive, yannakakis};
@@ -84,15 +85,16 @@ fn colorcoding_exactness_on_random_star_queries() {
     }
 }
 
-/// The classifier's class and the planner's engine choice are consistent,
-/// and classification parameters match the metrics.
+/// The analyzer's cell and the planner's engine choice are consistent,
+/// and the report's parameters match the metrics.
 #[test]
 fn classification_is_consistent_with_metrics() {
     let q = parse_cq("G(e) :- EP(e, p), EP(e, p2), p != p2.").unwrap();
-    let c = classify(&q);
-    assert_eq!(c.q, q.size());
-    assert_eq!(c.v, q.num_variables());
-    assert_eq!(c.class, CqClass::AcyclicNeq);
+    let r = structure_of(&q);
+    assert_eq!(r.q, q.size());
+    assert_eq!(r.v, q.num_variables());
+    assert_eq!(r.cell, FigCell::AcyclicNeq);
+    assert_eq!(lower_bound(r.cell), None);
     let p = plan(&q, &PlannerOptions::default());
     assert!(p.engine.contains("colorcoding"));
 }

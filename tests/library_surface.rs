@@ -116,10 +116,13 @@ fn algebra_plans_execute_and_explain() {
 fn classifier_reports_are_stable_across_surfaces() {
     let db = parse_database(COMPANY).unwrap();
     let q = parse_cq("G(e) :- EP(e, p), EP(e, p2), p != p2.").unwrap();
-    let c = pq_core::classify(&q);
-    assert_eq!(c.class, pq_core::CqClass::AcyclicNeq);
+    let report = pq_core::analyze::structure_of(&q);
+    assert_eq!(report.cell, pq_core::analyze::FigCell::AcyclicNeq);
     let plan = pq_core::plan(&q, &pq_core::PlannerOptions::default());
     assert!(plan.engine.contains("colorcoding"));
+    // The plan holds the analyzer's report itself, equal to the one the
+    // classifier computes on its own.
+    assert_eq!(*plan.analysis.report, report);
     // And the planner's answer matches the oracle on the loaded data.
     assert_eq!(
         pq_core::evaluate(&q, &db, &pq_core::PlannerOptions::default()).unwrap(),
